@@ -167,9 +167,9 @@ def _score_candidate(contexts, space, h_tuple, kernel, estimator) -> float:
     count = 0
     successes = 0
     for ctx in contexts:
-        values, ok, _, _, _ = ctx.batch.estimates(
-            h, kernel, estimator, rng=_restart_rng(h_tuple, ctx.fold))
-        d2 = space.pairwise_dist2(ctx.held_responses, values)
+        fits = ctx.batch.estimates(h, kernel, estimator,
+                                   rng=_restart_rng(h_tuple, ctx.fold))
+        ok, d2 = fits.ok, space.pairwise_dist2(ctx.held_responses, fits.values)
         total += float(d2[ok].sum()) + penalty * int((~ok).sum())
         successes += int(ok.sum())
         count += ok.size

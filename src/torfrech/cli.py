@@ -20,16 +20,10 @@ import numpy as np
 
 from .bandwidth import GridSpec, two_stage_search
 from .errors import DatasetFormatError, EmptyDatasetError, NumericalError, PayloadError
-from .frechet import (
-    Dataset,
-    local_constant_estimate,
-    local_linear_estimate,
-    normalize_estimator,
-)
+from .frechet import Dataset, fit_queries, normalize_estimator
 from .io import load_dataset, load_space, read_trips, save_dataset, trips_to_dataset
 from .kernels import BandwidthVector, KernelFamily
 from .simulate import SimConfig, run_study
-from .torus import TorusPoint
 
 
 def _dump_json(path, obj) -> None:
@@ -143,42 +137,38 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
         raise click.UsageError("--bandwidth and --cv are mutually exclusive")
     if cv_path is not None:
         with open(cv_path) as fh:
-            h_values = json.load(fh)["best_h"]
+            blob = json.load(fh)
+        if not isinstance(blob, dict) or not isinstance(blob.get("best_h"), list):
+            raise click.UsageError(f"--cv file {cv_path} must hold a JSON object "
+                                   f"with a best_h list")
+        h_values = blob["best_h"]
     else:
         h_values = _parse_floats(bandwidth, "--bandwidth")
-    if len(h_values) != dataset.dim:
-        raise click.UsageError(f"bandwidth has {len(h_values)} components but the "
-                               f"data lives on the {dataset.dim}-torus")
-    h = BandwidthVector(np.asarray(h_values))
+    h = BandwidthVector(h_values)
     if not queries:
         raise click.UsageError("provide at least one --query")
-    points = []
+    angles = []
     for i, q in enumerate(queries, start=1):
         vals = _parse_floats(q, f"--query #{i}")
         if len(vals) != dataset.dim:
             raise click.UsageError(f"query row {i} has {len(vals)} angles, "
                                    f"expected {dataset.dim}")
-        points.append(TorusPoint(np.asarray(vals)))
-    fitter = local_constant_estimate if estimator == "lc" else local_linear_estimate
-    estimates = []
-    diagnostics = []
-    for i, point in enumerate(points, start=1):
-        try:
-            fit = fitter(dataset, point, h, fam,
-                         rng=np.random.default_rng((seed, i)))
-        except NumericalError as exc:
-            click.echo(f"numerical failure at query row {i}: {exc}", err=True)
-            sys.exit(3)
-        estimates.append(fit.estimate)
-        diagnostics.append({
-            "query_row": i,
-            "angles": [float(a) for a in point.angles],
-            "condition_number": fit.diagnostics.condition_number,
-            "sigma": fit.diagnostics.sigma,
-            "solver_iterations": int(fit.diagnostics.solver_iterations),
-            "converged": bool(fit.diagnostics.converged),
-        })
-    predictions = Dataset.from_payloads(dataset.space, points, estimates)
+        angles.append(vals)
+    angles = np.array(angles)
+    fits = fit_queries(dataset, angles, h, fam, estimator, rng=np.random.default_rng(seed))
+    if not fits.ok.all():
+        i = int(np.argmin(fits.ok))
+        click.echo(f"numerical failure at query row {i + 1}: {fits.error(i)}", err=True)
+        sys.exit(3)
+    predictions = Dataset(dataset.space, angles, fits.values)
+    diagnostics = [{
+        "query_row": i + 1,
+        "angles": [float(a) for a in predictions.angles[i]],
+        "condition_number": float(fits.condition_number[i]),
+        "sigma": float(fits.sigma[i]),
+        "solver_iterations": int(fits.iterations[i]),
+        "converged": True,
+    } for i in range(predictions.n)]
     save_dataset(out, predictions)
     _dump_json(str(out) + ".diag.json", diagnostics)
 

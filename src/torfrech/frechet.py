@@ -17,24 +17,27 @@ which satisfy mean(W) = 1 and mean(W theta) = 0 identically. Both identities
 hold at floating-point accuracy because sigma is computed from the same
 solved vector b that enters the weights.
 
-Everything is written over query batches so that cross-validation and
-simulation can amortize the trigonometry; the single-query operations are
-thin wrappers over the batched path.
+Every fit runs through `QueryBatch`: cross-validation reuses one per fold,
+`fit_queries` fits any query set in memory-bounded chunks, and the single-query
+estimators are batches of one. Failed rows carry a cause; `fit_error` types it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DegenerateVarianceError,
+    DegenerateWeightsError,
     EmptyNeighborhoodError,
+    NumericalError,
     SingularDesignError,
 )
 from .kernels import BandwidthVector, KernelFamily, gap_weights
-from .metric import ResponseSpace, weighted_frechet_mean
+from .metric import ResponseSpace, weighted_frechet_mean  # noqa: F401  (re-exported)
 from .torus import TorusPoint, canonicalize
 
 CONDITION_LIMIT = 1e12
@@ -45,6 +48,11 @@ CONDITION_LIMIT = 1e12
 _IDENTITY_TOL = 1e-10
 _SIGMA_GUARD = 100.0 * np.finfo(float).eps / _IDENTITY_TOL
 
+# Cap on query rows x observations per QueryBatch in fit_queries, which bounds
+# its geometry and solver arrays: 8 queries at n = 500 use no more peak memory
+# than one query at a time.
+QUERY_CHUNK_CELLS = 4096
+
 LOCAL_CONSTANT = "lc"
 LOCAL_LINEAR = "ll"
 
@@ -52,6 +60,14 @@ _ESTIMATOR_ALIASES = {
     "lc": LOCAL_CONSTANT, "local_constant": LOCAL_CONSTANT, "constant": LOCAL_CONSTANT,
     "ll": LOCAL_LINEAR, "local_linear": LOCAL_LINEAR, "linear": LOCAL_LINEAR,
 }
+
+# Per-row fit outcomes.
+OK = "ok"
+EMPTY = "empty"                # every kernel value is zero (local constant)
+SINGULAR = "singular"          # mu2 exceeds CONDITION_LIMIT (local linear)
+SIGMA = "sigma"                # sigma fails the guard (local linear)
+WEIGHTS = "weights"            # weights do not sum to a positive value
+NONCONVERGED = "nonconverged"  # the mean solver hit its iteration cap
 
 
 def normalize_estimator(name: str) -> str:
@@ -100,9 +116,6 @@ class Dataset:
     def dim(self) -> int:
         return self.angles.shape[1]
 
-    def predictor(self, i: int) -> TorusPoint:
-        return TorusPoint(self.angles[i])
-
     def subset(self, index) -> "Dataset":
         return Dataset(self.space, self.angles[index], self.responses[index])
 
@@ -139,6 +152,47 @@ class LocalFit:
     diagnostics: FitDiagnostics
 
 
+@dataclass
+class QueryFits:
+    """Per-row results of a batched fit; condition_number and sigma are NaN
+    for the local constant estimator, values are zero where no solve ran."""
+
+    values: np.ndarray
+    condition_number: np.ndarray
+    sigma: np.ndarray
+    iterations: np.ndarray
+    cause: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.cause == OK
+
+    def error(self, i: int) -> NumericalError:
+        """The typed error for failed row i."""
+        return fit_error(self.cause[i], float(self.condition_number[i]),
+                         float(self.sigma[i]), self.values[i])
+
+
+def fit_error(cause: str, cond: float = float("nan"), sigma: float = float("nan"),
+              best_iterate=None) -> NumericalError:
+    """The typed error that a single-query fit raises for a failure cause."""
+    if cause == EMPTY:
+        return EmptyNeighborhoodError("all kernel weights are zero at the query; enlarge "
+                                      "the bandwidth or use a strictly positive kernel")
+    if cause == SINGULAR:
+        return SingularDesignError(f"second moment matrix is singular (condition number "
+                                   f"{cond:.3g} exceeds {CONDITION_LIMIT:.0e})", cond)
+    if cause == SIGMA:
+        return DegenerateVarianceError(f"local variance term sigma = {sigma:.3g} is not "
+                                       f"positive at working precision")
+    if cause == WEIGHTS:
+        return DegenerateWeightsError("Fréchet-mean weights do not sum to a positive value")
+    if cause == NONCONVERGED:
+        return ConvergenceError("Fréchet mean did not converge within the iteration budget",
+                                best_iterate=best_iterate)
+    raise ValueError(f"fit outcome {cause!r} is not a failure")
+
+
 def _theta_gaps(data_angles: np.ndarray, query_angles: np.ndarray):
     """Tangent coordinates and cosine gaps of every observation at every query.
 
@@ -148,6 +202,51 @@ def _theta_gaps(data_angles: np.ndarray, query_angles: np.ndarray):
     theta = np.asarray(canonicalize(delta))
     gaps = np.clip(1.0 - np.cos(delta), 0.0, 2.0)
     return theta, gaps
+
+
+def _solve_refined(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched symmetric solve with one step of iterative refinement."""
+    sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
+    resid = rhs - np.einsum("qde,qe->qd", mats, sol)
+    sol = sol + np.linalg.solve(mats, resid[..., None])[..., 0]
+    return sol
+
+
+def _linear_weights(kvals, theta, mu0, mu1, mu2):
+    """The local linear weight rule for q rows of kernel values.
+
+    Returns (weights, ok, cond, sigma); failed rows (cond > 1e12, or sigma
+    under its guard) get zero weights, and singular rows sigma NaN.
+    """
+    eigs = np.linalg.eigvalsh(mu2)
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = np.where(lo > 0.0, hi / lo, np.inf)
+    ok = cond <= CONDITION_LIMIT
+    weights = np.zeros_like(kvals)
+    sigma = np.full(len(mu0), np.nan)
+    if np.any(ok):
+        beta = _solve_refined(mu2[ok], mu1[ok])
+        sig = mu0[ok] - np.einsum("qd,qd->q", mu1[ok], beta)
+        proj = np.einsum("qnd,qd->qn", theta[ok], beta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_ok = kvals[ok] * (1.0 - proj) / sig[:, None]
+        noise = mu0[ok] + np.linalg.norm(mu1[ok], axis=1) * \
+            np.linalg.norm(beta, axis=1)
+        pos = sig > _SIGMA_GUARD * noise
+        w_ok[~pos] = 0.0
+        weights[ok] = w_ok
+        sigma[ok] = sig
+        ok[np.nonzero(ok)[0][~pos]] = False
+    return weights, ok, cond, sigma
+
+
+def _causes(local_constant: bool, ok, cond, solved=True, converged=True) -> np.ndarray:
+    """Outcome of each row from its weight and solver flags."""
+    failed = ~ok
+    return np.select([failed & local_constant, failed & ~(cond <= CONDITION_LIMIT), failed,
+                      np.logical_not(solved), np.logical_not(converged)],
+                     [EMPTY, SINGULAR, SIGMA, WEIGHTS, NONCONVERGED], OK)
 
 
 @dataclass
@@ -172,115 +271,64 @@ class QueryBatch:
 
     def moments(self, h: BandwidthVector, kernel: KernelFamily):
         """Kernel values and the three local moments for every query row."""
+        if h.dim != self.data.dim:
+            raise ValueError(f"bandwidth dimension {h.dim} != data dimension {self.data.dim}")
         n = self.data.n
         kvals = gap_weights(kernel, self.gaps, h)
         mu0 = kvals.mean(axis=1)
+        # kernel mass that underflowed below the smallest normal float has lost
+        # the precision the weight identities need; such a row counts as empty
+        underflow = mu0 < np.finfo(float).tiny
+        kvals[underflow] = 0.0
+        mu0[underflow] = 0.0
         mu1 = np.einsum("qn,qnd->qd", kvals, self.theta) / n
         mu2 = np.einsum("qn,qnd,qne->qde", kvals, self.theta, self.theta) / n
         return kvals, mu0, mu1, mu2
 
-    def local_constant_weights(self, h: BandwidthVector, kernel: KernelFamily):
-        """Rows K_i / mu0 (mean one); ok is False where every kernel value is zero."""
-        kvals, mu0, _, _ = self.moments(h, kernel)
+    def weight_rows(self, h: BandwidthVector, kernel: KernelFamily, estimator: str):
+        """(weights, ok, cond, sigma) rows; local constant rows are K_i / mu0,
+        ok unless every kernel value is zero, with cond and sigma NaN."""
+        kvals, mu0, mu1, mu2 = self.moments(h, kernel)
+        if normalize_estimator(estimator) == LOCAL_LINEAR:
+            return _linear_weights(kvals, self.theta, mu0, mu1, mu2)
         ok = mu0 > 0.0
         weights = np.zeros_like(kvals)
         weights[ok] = kvals[ok] / mu0[ok, None]
-        return weights, ok, mu0
-
-    def local_linear_weights(self, h: BandwidthVector, kernel: KernelFamily):
-        """Signed local linear weight rows with per-row condition diagnostics.
-
-        Returns (weights, ok, cond, sigma); ok rows satisfy the conditioning
-        guard cond <= 1e12 and sigma > 0.
-        """
-        kvals, mu0, mu1, mu2 = self.moments(h, kernel)
-        eigs = np.linalg.eigvalsh(mu2)
-        lo, hi = eigs[:, 0], eigs[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(lo > 0.0, hi / lo, np.inf)
-        ok = cond <= CONDITION_LIMIT
-        q, n = kvals.shape
-        weights = np.zeros((q, n))
-        sigma = np.full(q, np.nan)
-        if np.any(ok):
-            beta = _solve_refined(mu2[ok], mu1[ok])
-            sig = mu0[ok] - np.einsum("qd,qd->q", mu1[ok], beta)
-            proj = np.einsum("qnd,qd->qn", self.theta[ok], beta)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w_ok = kvals[ok] * (1.0 - proj) / sig[:, None]
-            noise = mu0[ok] + np.linalg.norm(mu1[ok], axis=1) * \
-                np.linalg.norm(beta, axis=1)
-            pos = sig > _SIGMA_GUARD * noise
-            w_ok[~pos] = 0.0
-            weights[ok] = w_ok
-            sigma[ok] = sig
-            ok = ok.copy()
-            ok[np.nonzero(ok)[0][~pos]] = False
-        return weights, ok, cond, sigma
-
-    def weight_rows(self, h: BandwidthVector, kernel: KernelFamily, estimator: str):
-        """Weights for either estimator plus per-row diagnostics."""
-        estimator = normalize_estimator(estimator)
-        if estimator == LOCAL_CONSTANT:
-            weights, ok, _ = self.local_constant_weights(h, kernel)
-            q = weights.shape[0]
-            return weights, ok, np.full(q, np.nan), np.full(q, np.nan)
-        return self.local_linear_weights(h, kernel)
+        return weights, ok, np.full(ok.shape, np.nan), np.full(ok.shape, np.nan)
 
     def estimates(self, h: BandwidthVector, kernel: KernelFamily, estimator: str,
                   rng=None):
-        """Fit every query row; failed rows are masked out rather than raised.
-
-        Returns (values, ok, weights, iterations, converged).
-        """
-        weights, ok, _, _ = self.weight_rows(h, kernel, estimator)
-        q = weights.shape[0]
-        values = np.zeros((q,) + self.data.responses.shape[1:])
-        iterations = np.zeros(q, dtype=int)
-        converged = np.zeros(q, dtype=bool)
-        if np.any(ok):
-            vals, mean_ok, iters, conv = self.data.space.frechet_mean_batch(
-                self.data.responses, weights[ok], rng=rng)
-            values[ok] = vals
-            iterations[ok] = iters
-            converged[ok] = conv & mean_ok
-            ok = ok.copy()
-            ok[np.nonzero(ok)[0][~(mean_ok & conv)]] = False
-        return values, ok, weights, iterations, converged
+        """Fit every query row; failed rows carry their cause rather than raise."""
+        weights, ok, cond, sigma = self.weight_rows(h, kernel, estimator)
+        # failed weight rows are zero, and the solver skips rows summing to <= 0
+        values, solved, iterations, converged = self.data.space.frechet_mean_batch(
+            self.data.responses, weights, rng=rng)
+        cause = _causes(normalize_estimator(estimator) == LOCAL_CONSTANT, ok, cond,
+                        solved, converged)
+        return QueryFits(values, cond, sigma, iterations, cause)
 
 
-def _solve_refined(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched symmetric solve with one step of iterative refinement."""
-    sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
-    resid = rhs - np.einsum("qde,qe->qd", mats, sol)
-    sol = sol + np.linalg.solve(mats, resid[..., None])[..., 0]
-    return sol
-
-
-def _single_batch(data: Dataset, x: TorusPoint, h: BandwidthVector,
-                  kernel: KernelFamily) -> QueryBatch:
-    if x.dim != data.dim:
-        raise ValueError(f"query dimension {x.dim} != data dimension {data.dim}")
-    if h.dim != data.dim:
-        raise ValueError(f"bandwidth dimension {h.dim} != data dimension {data.dim}")
-    return QueryBatch(data, x.angles[None, :])
+def fit_queries(data: Dataset, query_angles, h: BandwidthVector, kernel: KernelFamily,
+                estimator: str, rng=None) -> QueryFits:
+    """Fit every query row in QueryBatch chunks of QUERY_CHUNK_CELLS cells; the
+    chunks draw their sphere restarts from rng (default: seed 0 per chunk)."""
+    queries = np.atleast_2d(np.asarray(query_angles, dtype=float))
+    step = max(1, QUERY_CHUNK_CELLS // data.n)
+    parts = [QueryBatch(data, queries[i:i + step]).estimates(h, kernel, estimator, rng)
+             for i in range(0, queries.shape[0], step)]
+    return QueryFits(*(np.concatenate([getattr(p, f.name) for p in parts])
+                       for f in fields(QueryFits)))
 
 
 def local_moments(data: Dataset, x: TorusPoint, h: BandwidthVector,
                   kernel: KernelFamily) -> LocalMoments:
     """Kernel values, tangent coordinates, and moments at a single query."""
-    batch = _single_batch(data, x, h, kernel)
+    batch = QueryBatch(data, x.angles)
     kvals, mu0, mu1, mu2 = batch.moments(h, kernel)
-    eigs = np.linalg.eigvalsh(mu2[0])
-    cond = eigs[-1] / eigs[0] if eigs[0] > 0.0 else np.inf
-    if cond <= CONDITION_LIMIT:
-        beta = _solve_refined(mu2, mu1)[0]
-        sigma = float(mu0[0] - mu1[0] @ beta)
-    else:
-        sigma = float("nan")
-    return LocalMoments(mu0=float(mu0[0]), mu1=mu1[0], mu2=mu2[0], sigma=sigma,
+    _, _, cond, sigma = _linear_weights(kvals, batch.theta, mu0, mu1, mu2)
+    return LocalMoments(mu0=float(mu0[0]), mu1=mu1[0], mu2=mu2[0], sigma=float(sigma[0]),
                         theta=batch.theta[0], kernel_weights=kvals[0],
-                        condition_number=float(cond))
+                        condition_number=float(cond[0]))
 
 
 def local_linear_weights(moments: LocalMoments) -> np.ndarray:
@@ -289,50 +337,36 @@ def local_linear_weights(moments: LocalMoments) -> np.ndarray:
     Raises SingularDesignError when mu2 is (numerically) singular and
     DegenerateVarianceError when sigma <= 0.
     """
-    if not np.isfinite(moments.condition_number) or \
-            moments.condition_number > CONDITION_LIMIT:
-        raise SingularDesignError(
-            f"second moment matrix is singular (condition number "
-            f"{moments.condition_number:.3g} exceeds {CONDITION_LIMIT:.0e})",
-            condition_number=moments.condition_number)
-    beta = _solve_refined(moments.mu2[None], moments.mu1[None])[0]
-    sigma = float(moments.mu0 - moments.mu1 @ beta)
-    noise = moments.mu0 + float(np.linalg.norm(moments.mu1) * np.linalg.norm(beta))
-    if not sigma > _SIGMA_GUARD * noise:
-        raise DegenerateVarianceError(
-            f"local variance term sigma = {sigma:.3g} is not positive at working "
-            f"precision (noise floor {_SIGMA_GUARD * noise:.3g})")
-    return moments.kernel_weights * (1.0 - moments.theta @ beta) / sigma
+    weights, ok, cond, sigma = _linear_weights(
+        moments.kernel_weights[None], moments.theta[None], np.array([moments.mu0]),
+        moments.mu1[None], moments.mu2[None])
+    if not ok[0]:
+        raise fit_error(_causes(False, ok, cond)[0], float(cond[0]), float(sigma[0]))
+    return weights[0]
 
 
 def local_constant_estimate(data: Dataset, x: TorusPoint, h: BandwidthVector,
                             kernel: KernelFamily, rng=None) -> LocalFit:
     """Kernel-weighted Fréchet mean at the query (metric Nadaraya-Watson)."""
-    batch = _single_batch(data, x, h, kernel)
-    weights, ok, _ = batch.local_constant_weights(h, kernel)
-    if not ok[0]:
-        raise EmptyNeighborhoodError(
-            "all kernel weights are zero at the query; enlarge the bandwidth "
-            "or use a strictly positive kernel")
-    return _finish_fit(data, x, weights[0], LOCAL_CONSTANT,
-                       cond=float("nan"), sigma=float("nan"), rng=rng)
+    return _fit_one(data, x, h, kernel, LOCAL_CONSTANT, rng)
 
 
 def local_linear_estimate(data: Dataset, x: TorusPoint, h: BandwidthVector,
                           kernel: KernelFamily, rng=None) -> LocalFit:
     """Fréchet mean under the tangent-corrected signed weights."""
-    _single_batch(data, x, h, kernel)  # dimension checks
-    moments = local_moments(data, x, h, kernel)
-    weights = local_linear_weights(moments)
-    return _finish_fit(data, x, weights, LOCAL_LINEAR,
-                       cond=moments.condition_number, sigma=moments.sigma, rng=rng)
+    return _fit_one(data, x, h, kernel, LOCAL_LINEAR, rng)
 
 
-def _finish_fit(data: Dataset, x: TorusPoint, weights: np.ndarray, estimator: str,
-                cond: float, sigma: float, rng=None) -> LocalFit:
-    result = weighted_frechet_mean(data.space, data.responses, weights, rng=rng)
-    diag = FitDiagnostics(condition_number=cond, sigma=sigma,
-                          solver_iterations=result.iterations,
-                          converged=result.converged)
-    return LocalFit(estimate=result.value, weights=weights, query=x,
-                    estimator=estimator, diagnostics=diag)
+def _fit_one(data: Dataset, x: TorusPoint, h: BandwidthVector, kernel: KernelFamily,
+             estimator: str, rng) -> LocalFit:
+    """fit_queries on a batch of one; a failed row raises its typed error."""
+    fits = fit_queries(data, x.angles, h, kernel, estimator, rng=rng)
+    if not fits.ok[0]:
+        raise fits.error(0)
+    # fit_queries keeps no weight rows; recomputing gives the bits it used
+    weights = QueryBatch(data, x.angles).weight_rows(h, kernel, estimator)[0][0]
+    value = fits.values[0] if data.responses.ndim > 1 else float(fits.values[0])
+    diag = FitDiagnostics(float(fits.condition_number[0]), float(fits.sigma[0]),
+                          int(fits.iterations[0]), converged=True)
+    return LocalFit(estimate=value, weights=weights, query=x, estimator=estimator,
+                    diagnostics=diag)

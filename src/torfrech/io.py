@@ -94,7 +94,8 @@ def load_dataset(path, space: ResponseSpace | None = None,
                 raise PayloadError(f"{path} row {rownum}: {exc}") from None
     if not angles:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return Dataset(space, np.asarray(angles), space.stack(payloads))
+    # payload_from_json has validated every payload already
+    return Dataset(space, np.asarray(angles), np.stack(payloads))
 
 
 @dataclass(frozen=True)

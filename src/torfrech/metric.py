@@ -34,6 +34,11 @@ from .errors import (
 )
 
 _STEP_CAP = 1e3  # upper bound for line-search step growth
+_SPHERE_RESTARTS = 3  # random starts per row, besides the best sample point
+_SPHERE_TOL = 1e-10  # stop once an accepted step lowers the objective by less
+_SPHERE_MAX_ITER = 500
+_LAPLACIAN_TOL = 1e-10
+_LAPLACIAN_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,6 @@ class ResponseSpace(abc.ABC):
         """A finite upper bound on pairwise distances."""
 
     @abc.abstractmethod
-    def _dist2_many(self, stacked: np.ndarray, y) -> np.ndarray:
-        """Squared distances from each stacked payload to y (no validation)."""
-
-    @abc.abstractmethod
     def pairwise_dist2(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Rowwise squared distances between two stacks of payloads (no validation)."""
 
@@ -84,9 +85,8 @@ class ResponseSpace(abc.ABC):
         """Space descriptor as a JSON-compatible dict."""
 
     def distance(self, y1, y2) -> float:
-        a = self.validate(y1)
-        b = self.validate(y2)
-        return float(np.sqrt(self._dist2_many(np.asarray(a)[None, ...], b)[0]))
+        a, b = (np.asarray(self.validate(y))[None, ...] for y in (y1, y2))
+        return float(np.sqrt(self.pairwise_dist2(a, b)[0]))
 
     def stack(self, payloads) -> np.ndarray:
         """Validate a sequence of payloads and stack them along axis 0."""
@@ -95,7 +95,8 @@ class ResponseSpace(abc.ABC):
         return np.stack([np.asarray(self.validate(p)) for p in payloads])
 
     def objective(self, stacked: np.ndarray, weights: np.ndarray, y) -> float:
-        return float(np.dot(weights, self._dist2_many(stacked, y)))
+        return float(np.dot(weights, self.pairwise_dist2(stacked,
+                                                         np.broadcast_to(y, stacked.shape))))
 
     def frechet_mean_batch(self, stacked: np.ndarray, weight_rows: np.ndarray, rng=None):
         """Batched means over pre-validated payloads.
@@ -130,12 +131,9 @@ def weighted_frechet_mean(space: ResponseSpace, points, weights, rng=None) -> Me
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if w.shape[0] != stacked.shape[0]:
         raise ValueError(f"{stacked.shape[0]} points but {w.shape[0]} weights")
-    total = float(w.sum())
-    if not total > 0.0:
-        raise DegenerateWeightsError(f"weights sum to {total}; need a positive total")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    vals, iters, conv = space._mean_batch(stacked, w[None, :], rng)
+    vals, ok, iters, conv = space.frechet_mean_batch(stacked, w[None, :], rng=rng)
+    if not ok[0]:
+        raise DegenerateWeightsError(f"weights sum to {float(w.sum())}; need a positive total")
     value = vals[0] if stacked.ndim > 1 else float(vals[0])
     obj = space.objective(stacked, w, value)
     if not conv[0]:
@@ -196,9 +194,6 @@ class ScalarSpace(ResponseSpace):
     def diameter(self) -> float:
         return self.hi - self.lo
 
-    def _dist2_many(self, stacked, y):
-        return (stacked - y) ** 2
-
     def pairwise_dist2(self, a, b):
         return (np.asarray(a) - np.asarray(b)) ** 2
 
@@ -225,13 +220,10 @@ class SphereSpace(ResponseSpace):
 
     kind = "sphere"
 
-    def __init__(self, p: int, restarts: int = 3, tol: float = 1e-10, max_iter: int = 500):
+    def __init__(self, p: int):
         if int(p) < 1:
             raise ValueError("sphere dimension p must be >= 1")
         self.p = int(p)
-        self.restarts = restarts
-        self.tol = tol
-        self.max_iter = max_iter
 
     def validate(self, payload):
         arr = np.asarray(payload, dtype=float)
@@ -247,20 +239,9 @@ class SphereSpace(ResponseSpace):
     def diameter(self) -> float:
         return math.pi
 
-    def _dist2_many(self, stacked, y):
-        dots = np.clip(stacked @ np.asarray(y), -1.0, 1.0)
-        return np.arccos(dots) ** 2
-
     def pairwise_dist2(self, a, b):
         dots = np.clip(np.einsum("nm,nm->n", np.asarray(a), np.asarray(b)), -1.0, 1.0)
         return np.arccos(dots) ** 2
-
-    def _grad_ratio(self, cosines, dists):
-        # d/ds of arccos(s)^2 is -2*arccos(s)/sqrt(1-s^2); the ratio tends to 1
-        # at s -> 1 and is capped near the antipode.
-        denom = np.sqrt(np.clip(1.0 - cosines ** 2, 1e-14, None))
-        ratio = dists / denom
-        return np.where(cosines > 1.0 - 1e-12, 1.0, ratio)
 
     def _mean_batch(self, stacked, weight_rows, rng):
         pts = stacked
@@ -270,7 +251,7 @@ class SphereSpace(ResponseSpace):
         d2 = np.arccos(gram) ** 2
         best_idx = np.argmin(weight_rows @ d2, axis=1)
         starts = [pts[best_idx]]
-        for _ in range(self.restarts):
+        for _ in range(_SPHERE_RESTARTS):
             cand = rng.standard_normal((q, m))
             norms = np.linalg.norm(cand, axis=1, keepdims=True)
             norms[norms < 1e-12] = 1.0
@@ -279,50 +260,57 @@ class SphereSpace(ResponseSpace):
         y = np.concatenate(starts, axis=0)
         w = np.tile(weight_rows, (n_starts, 1))
         rows = y.shape[0]
+        # Row x observation work arrays, reused through views of their leading rows:
+        # no step allocates anything of size n (no allocator churn, no page faults).
+        w_buf, cos_buf, dist_buf, work_buf = (np.empty((rows, n)) for _ in range(4))
+        near_one = np.empty((rows, n), dtype=bool)
 
-        def obj_and_grad(yc, wc):
-            s = np.clip(yc @ pts.T, -1.0, 1.0)
-            d = np.arccos(s)
-            f = np.einsum("rn,rn->r", wc, d * d)
-            g = wc * self._grad_ratio(s, d)
-            grad = -2.0 * (g @ pts)
+        def value_and_grad(yc, wc):
+            k = yc.shape[0]
+            s = np.matmul(yc, pts.T, out=cos_buf[:k])
+            np.clip(s, -1.0, 1.0, out=s)
+            d = np.arccos(s, out=dist_buf[:k])
+            t = np.multiply(d, d, out=work_buf[:k])
+            f = np.einsum("rn,rn->r", wc, t)
+            # d/ds of arccos(s)^2 is -2*arccos(s)/sqrt(1-s^2); the ratio tends
+            # to 1 at s -> 1 and is capped near the antipode.
+            np.subtract(1.0, np.multiply(s, s, out=t), out=t)
+            np.sqrt(np.maximum(t, 1e-14, out=t), out=t)
+            np.divide(d, t, out=t)
+            np.copyto(t, 1.0, where=np.greater(s, 1.0 - 1e-12, out=near_one[:k]))
+            t *= wc
+            grad = -2.0 * (t @ pts)
             grad -= np.einsum("rn,rn->r", grad, yc)[:, None] * yc  # tangent part
             return f, grad
 
-        f, grad = obj_and_grad(y, w)
+        f, grad = value_and_grad(y, w)
         eta = 0.5 / np.maximum(np.abs(w).sum(axis=1), 1e-12)
         active = np.ones(rows, dtype=bool)
         iters = np.zeros(rows, dtype=int)
-        for _ in range(self.max_iter):
+        for _ in range(_SPHERE_MAX_ITER):
             if not np.any(active):
                 break
             idx = np.nonzero(active)[0]
-            ya, fa, ga, ea = y[idx], f[idx], grad[idx], eta[idx]
-            prop = ya - ea[:, None] * ga
+            fa, ga, ea = f[idx], grad[idx], eta[idx]
+            prop = y[idx] - ea[:, None] * ga
             prop /= np.linalg.norm(prop, axis=1, keepdims=True)
-            s = np.clip(prop @ pts.T, -1.0, 1.0)
-            d = np.arccos(s)
-            f_prop = np.einsum("rn,rn->r", w[idx], d * d)
+            # the gradient at every proposal is kept for the rows that accept it
+            f_prop, g_prop = value_and_grad(
+                prop, np.take(w, idx, axis=0, out=w_buf[:idx.size], mode="clip"))
             gnorm2 = np.einsum("rn,rn->r", ga, ga)
             accept = f_prop <= fa - 1e-4 * ea * gnorm2
             acc_idx = idx[accept]
             if acc_idx.size:
                 y[acc_idx] = prop[accept]
-                decrease = fa[accept] - f_prop[accept]
                 f[acc_idx] = f_prop[accept]
+                grad[acc_idx] = g_prop[accept]
                 eta[acc_idx] = np.minimum(eta[acc_idx] * 1.5, _STEP_CAP)
-                done = decrease < self.tol
-                active[acc_idx[done]] = False
+                active[acc_idx[fa[accept] - f_prop[accept] < _SPHERE_TOL]] = False
             rej_idx = idx[~accept]
             if rej_idx.size:
                 eta[rej_idx] *= 0.5
                 active[rej_idx[eta[rej_idx] < 1e-18]] = False
             iters[idx] += 1
-            moved = acc_idx[active[acc_idx]]
-            if moved.size:
-                f_new, grad_new = obj_and_grad(y[moved], w[moved])
-                f[moved] = f_new
-                grad[moved] = grad_new
         converged = ~active  # rows that stopped by tolerance (or stalled at a
         # stationary point); rows still active hit the iteration cap
         y_r = y.reshape(n_starts, q, m)
@@ -381,10 +369,6 @@ class WassersteinSpace(ResponseSpace):
     def diameter(self) -> float:
         return self.b - self.a
 
-    def _dist2_many(self, stacked, y):
-        diff = stacked - np.asarray(y)[None, :]
-        return np.mean(diff * diff, axis=1)
-
     def pairwise_dist2(self, a, b):
         diff = np.asarray(a) - np.asarray(b)
         return np.mean(diff * diff, axis=1)
@@ -419,15 +403,13 @@ class GraphLaplacianSpace(ResponseSpace):
 
     kind = "graph_laplacian"
 
-    def __init__(self, n_nodes: int, c_w: float, tol: float = 1e-10, max_iter: int = 2000):
+    def __init__(self, n_nodes: int, c_w: float):
         if int(n_nodes) < 2:
             raise ValueError("need at least 2 nodes")
         if not (math.isfinite(float(c_w)) and float(c_w) > 0.0):
             raise ValueError("edge-weight cap must be finite and positive")
         self.n_nodes = int(n_nodes)
         self.c_w = float(c_w)
-        self.tol = tol
-        self.max_iter = max_iter
         self._iu = np.triu_indices(self.n_nodes, 1)
 
     def validate(self, payload):
@@ -452,10 +434,6 @@ class GraphLaplacianSpace(ResponseSpace):
         k = self.n_nodes
         return self.c_w * k * math.sqrt(k - 1.0)
 
-    def _dist2_many(self, stacked, y):
-        diff = stacked - np.asarray(y)[None, ...]
-        return np.einsum("nij,nij->n", diff, diff)
-
     def pairwise_dist2(self, a, b):
         diff = np.asarray(a) - np.asarray(b)
         return np.einsum("nij,nij->n", diff, diff)
@@ -479,7 +457,7 @@ class GraphLaplacianSpace(ResponseSpace):
         f = float(np.sum((lap - target) ** 2))
         it = 0
         converged = False
-        for it in range(1, self.max_iter + 1):
+        for it in range(1, _LAPLACIAN_MAX_ITER + 1):
             resid = lap - target
             grad = 2.0 * (resid[iu, iu] + resid[ju, ju] - 2.0 * resid[iu, ju])
             w_new = np.clip(w - step * grad, 0.0, self.c_w)
@@ -487,7 +465,7 @@ class GraphLaplacianSpace(ResponseSpace):
             f_new = float(np.sum((lap_new - target) ** 2))
             moved = float(np.max(np.abs(w_new - w))) if w.size else 0.0
             w, lap, decrease, f = w_new, lap_new, f - f_new, f_new
-            if decrease < self.tol and moved < 1e-12:
+            if decrease < _LAPLACIAN_TOL and moved < 1e-12:
                 converged = True
                 break
         return lap, it, converged

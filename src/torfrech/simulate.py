@@ -20,7 +20,7 @@ import numpy as np
 
 from .bandwidth import GridSpec, two_stage_search
 from .errors import NumericalError
-from .frechet import Dataset, QueryBatch, normalize_estimator
+from .frechet import Dataset, fit_queries, normalize_estimator
 from .kernels import BandwidthVector, KernelFamily
 from .metric import SphereSpace
 from .parallel import process_map
@@ -190,7 +190,7 @@ def _run_replication(args) -> dict:
     responses = sample_vmf_many(mus, 1.0 / config.sigma, rng)
     data = Dataset(_SPHERE, angles, responses)
     cv_seed = int(cv_seq.generate_state(1, np.uint32)[0])
-    grid_angles, area = quadrature_grid(config.quad_per_axis)
+    grid_angles, _ = quadrature_grid(config.quad_per_axis)
     truths = regression_surface(grid_angles)
     fit_children = fit_seq.spawn(len(config.estimators))
 
@@ -199,17 +199,16 @@ def _run_replication(args) -> dict:
         try:
             cv = two_stage_search(data, config.kernel, config.grid, k=config.cv_folds,
                                   seed=cv_seed, estimator=est, threads=1)
-            batch = QueryBatch(data, grid_angles)
-            values, ok, _, _, _ = batch.estimates(
-                cv.best_h, config.kernel, est, rng=np.random.default_rng(child))
-            if not np.all(ok):
+            fits = fit_queries(data, grid_angles, cv.best_h, config.kernel, est,
+                               rng=np.random.default_rng(child))
+            if not np.all(fits.ok):
                 raise NumericalError(
-                    f"{int((~ok).sum())} quadrature fits failed at the selected "
+                    f"{int((~fits.ok).sum())} quadrature fits failed at the selected "
                     f"bandwidth")
-            d2 = _SPHERE.pairwise_dist2(values, truths)
             out[est] = {"best_h": [float(v) for v in cv.best_h.h],
                         "cv_score": float(cv.best_score),
-                        "ise": float(d2.sum() * area)}
+                        "ise": integrated_squared_error(fits.values, truths,
+                                                        config.quad_per_axis)}
         except (NumericalError, ValueError) as exc:
             out[est] = {"error": str(exc)}
     return out

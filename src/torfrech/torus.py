@@ -126,8 +126,3 @@ def rotation_frame(x: TorusPoint) -> np.ndarray:
     frame[2 * cols + 1, cols] = np.cos(x.angles)
     return frame
 
-
-def wrap_difference(z_angles: np.ndarray, x_angles: np.ndarray) -> np.ndarray:
-    """Vectorized wrapped angle difference z - x (broadcasting), in [-pi, pi)."""
-    delta = np.asarray(z_angles, dtype=float) - np.asarray(x_angles, dtype=float)
-    return np.asarray(canonicalize(delta))

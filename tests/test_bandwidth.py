@@ -165,3 +165,13 @@ def test_cvresult_json_shape():
                          "fold_assignment", "seed", "estimator", "kernel"}
     assert len(blob["fold_assignment"]) == 15
     assert blob["kernel"] == "vonmises"
+
+
+@pytest.mark.parametrize("h", [[0.5], [0.5, 0.5, 0.5]])
+def test_cv_score_rejects_bandwidth_of_wrong_dimension(h):
+    rng = np.random.default_rng(47)
+    data = scalar_data(rng, 20, d=2)
+    folds = kfold_split(data.n, 4, seed=0)
+    with pytest.raises(ValueError,
+                       match=f"bandwidth dimension {len(h)} != data dimension 2"):
+        cv_score(data, BandwidthVector(h), VM, folds, "ll")

@@ -6,7 +6,14 @@ import pytest
 from click.testing import CliRunner
 
 from torfrech.cli import main
-from torfrech.frechet import Dataset
+from torfrech.frechet import (
+    QUERY_CHUNK_CELLS,
+    Dataset,
+    local_constant_estimate,
+    local_linear_estimate,
+    local_moments,
+)
+from torfrech.kernels import BandwidthVector, KernelFamily
 from torfrech.io import save_dataset
 from torfrech.metric import ScalarSpace
 from torfrech.torus import TorusPoint
@@ -76,6 +83,75 @@ def test_fit_singular_design_exit_code_names_query(tmp_path, runner):
                                   "--out", str(tmp_path / "o.csv")])
     assert result.exit_code == 3
     assert "query row 1" in result.output
+
+
+def _predictions(path):
+    return [json.loads(line.split(",")[-1].strip('"'))
+            for line in path.read_text().strip().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("estimator", ["lc", "ll"])
+def test_fit_in_chunks_matches_single_query_fits(tmp_path, runner, estimator):
+    # two queries fill a chunk, so five queries run as three batches
+    n = QUERY_CHUNK_CELLS // 2
+    rng = np.random.default_rng(75)
+    path, data = write_scalar_dataset(tmp_path, rng.normal(size=n))
+    queries = rng.uniform(-math.pi, math.pi, size=(5, 2))
+    out = tmp_path / "pred.csv"
+    args = ["fit", "--data", str(path), "--estimator", estimator,
+            "--bandwidth", "0.4,0.6", "--out", str(out)]
+    for q in queries:
+        args += ["--query", f"{float(q[0])!r},{float(q[1])!r}"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    preds = _predictions(out)
+    diag = json.loads((tmp_path / "pred.csv.diag.json").read_text())
+    assert len(preds) == len(diag) == 5
+    h = BandwidthVector([0.4, 0.6])
+    vm = KernelFamily.VON_MISES
+    fitter = local_constant_estimate if estimator == "lc" else local_linear_estimate
+    for i, q in enumerate(queries):
+        x = TorusPoint(q)
+        assert preds[i] == pytest.approx(fitter(data, x, h, vm).estimate, abs=1e-12)
+        assert diag[i]["query_row"] == i + 1
+        if estimator == "ll":
+            m = local_moments(data, x, h, vm)
+            assert diag[i]["condition_number"] == pytest.approx(m.condition_number,
+                                                                rel=1e-12)
+            assert diag[i]["sigma"] == pytest.approx(m.sigma, rel=1e-12)
+        else:
+            assert math.isnan(diag[i]["condition_number"])
+            assert math.isnan(diag[i]["sigma"])
+
+
+def test_fit_failure_names_the_failing_query_row(tmp_path, runner):
+    # near (2, 2) the uniform kernel sees only points with theta_1 = 0, so mu2
+    # is singular there; the cluster around the first query is well spread
+    rng = np.random.default_rng(76)
+    spread = rng.uniform(-0.5, 0.5, size=(12, 2))
+    line = np.column_stack([np.full(6, 2.0), 2.0 + np.linspace(-0.4, 0.4, 6)])
+    angles = np.vstack([spread, line])
+    path, _ = write_scalar_dataset(tmp_path, rng.normal(size=18), angles=angles)
+    result = runner.invoke(main, ["fit", "--data", str(path), "--estimator", "ll",
+                                  "--kernel", "uniform", "--bandwidth", "0.5,0.5",
+                                  "--query", "0.0,0.0", "--query", "2.0,2.0",
+                                  "--out", str(tmp_path / "o.csv")])
+    assert result.exit_code == 3
+    assert "query row 2" in result.output
+    assert "singular" in result.output
+
+
+@pytest.mark.parametrize("blob", [[0.5, 0.5], {"best_score": 1.0}])
+def test_fit_rejects_malformed_cv_file(tmp_path, runner, blob):
+    path, _ = write_scalar_dataset(tmp_path, np.ones(5))
+    cv = tmp_path / "cv.json"
+    cv.write_text(json.dumps(blob))
+    result = runner.invoke(main, ["fit", "--data", str(path), "--estimator", "lc",
+                                  "--cv", str(cv), "--query", "0,0",
+                                  "--out", str(tmp_path / "o.csv")])
+    assert result.exit_code == 2
+    assert "best_h" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_cv_singleton_grid_and_determinism(tmp_path, runner):

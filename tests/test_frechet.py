@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from torfrech import frechet
 from torfrech.errors import (
+    ConvergenceError,
     DegenerateVarianceError,
+    DegenerateWeightsError,
     EmptyNeighborhoodError,
     SingularDesignError,
 )
@@ -287,11 +293,56 @@ def test_batch_matches_single_query_path():
     h = BandwidthVector([0.6, 0.8])
     batch = QueryBatch(data, queries)
     for estimator in (LOCAL_CONSTANT, LOCAL_LINEAR):
-        values, ok, weights, _, _ = batch.estimates(h, VM, estimator)
+        fits = batch.estimates(h, VM, estimator)
+        weights = batch.weight_rows(h, VM, estimator)[0]
         for i, q in enumerate(queries):
             fitter = local_constant_estimate if estimator == LOCAL_CONSTANT \
                 else local_linear_estimate
             fit = fitter(data, TorusPoint(q), h, VM)
-            assert ok[i]
+            assert fits.ok[i]
             assert np.allclose(weights[i], fit.weights, atol=1e-12)
-            assert values[i] == pytest.approx(fit.estimate, abs=1e-12)
+            assert fits.values[i] == pytest.approx(fit.estimate, abs=1e-12)
+
+
+CAUSE_ERRORS = {
+    frechet.EMPTY: EmptyNeighborhoodError,
+    frechet.SINGULAR: SingularDesignError,
+    frechet.SIGMA: DegenerateVarianceError,
+    frechet.WEIGHTS: DegenerateWeightsError,
+    frechet.NONCONVERGED: ConvergenceError,
+}
+
+
+@st.composite
+def batch_problems(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 12))
+    q = draw(st.integers(1, 5))
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    angles = draw(arrays(float, (n, d), elements=angle))
+    values = draw(arrays(float, n, elements=st.floats(-10.0, 10.0, allow_nan=False)))
+    queries = draw(arrays(float, (q, d), elements=angle))
+    h = draw(arrays(float, d, elements=st.floats(0.05, 2.0)))
+    kernel = draw(st.sampled_from(list(KernelFamily)))
+    estimator = draw(st.sampled_from([LOCAL_CONSTANT, LOCAL_LINEAR]))
+    return Dataset(SCALAR, angles, values), queries, BandwidthVector(h), kernel, estimator
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(batch_problems())
+def test_batched_rows_satisfy_identities_or_raise_their_cause(problem):
+    data, queries, h, kernel, estimator = problem
+    batch = QueryBatch(data, queries)
+    fits = batch.estimates(h, kernel, estimator)
+    weights = batch.weight_rows(h, kernel, estimator)[0]
+    fitter = local_constant_estimate if estimator == LOCAL_CONSTANT \
+        else local_linear_estimate
+    for i, q in enumerate(queries):
+        if fits.ok[i]:
+            assert abs(weights[i].mean() - 1.0) <= 1e-10
+            if estimator == LOCAL_LINEAR:
+                moment = (weights[i][:, None] * batch.theta[i]).mean(axis=0)
+                assert np.linalg.norm(moment) <= 1e-10
+        else:
+            with pytest.raises(CAUSE_ERRORS[fits.cause[i]]):
+                fitter(data, TorusPoint(q), h, kernel)
