@@ -153,13 +153,6 @@ class _FoldContext:
         self.held_responses = data.responses[held]
 
 
-def _restart_rng(h, fold: int):
-    """Deterministic restart generator keyed by (bandwidth bits, fold)."""
-    bits = np.asarray(h, dtype=np.float64).view(np.uint64)
-    seq = np.random.SeedSequence([int(fold)] + [int(b) for b in bits])
-    return np.random.default_rng(seq)
-
-
 def _score_candidate(contexts, space, h_tuple, kernel, estimator) -> float:
     h = BandwidthVector(np.array(h_tuple))
     penalty = space.diameter() ** 2
@@ -167,8 +160,7 @@ def _score_candidate(contexts, space, h_tuple, kernel, estimator) -> float:
     count = 0
     successes = 0
     for ctx in contexts:
-        fits = ctx.batch.estimates(h, kernel, estimator,
-                                   rng=_restart_rng(h_tuple, ctx.fold))
+        fits = ctx.batch.estimates(h, kernel, estimator)
         ok, d2 = fits.ok, space.pairwise_dist2(ctx.held_responses, fits.values)
         total += float(d2[ok].sum()) + penalty * int((~ok).sum())
         successes += int(ok.sum())

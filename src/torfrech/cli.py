@@ -124,10 +124,8 @@ def main():
 @click.option("--query", "queries", multiple=True,
               help="Query point a1,..,ad (repeatable).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--seed", default=0, show_default=True, type=int)
 @_cli_errors
-def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, out,
-            seed):
+def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, out):
     """Predict at query points; writes dataset rows plus a diagnostics JSON."""
     dataset = load_dataset(data, descriptor_path=space_path)
     fam = KernelFamily.from_name(kernel)
@@ -155,7 +153,7 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
                                    f"expected {dataset.dim}")
         angles.append(vals)
     angles = np.array(angles)
-    fits = fit_queries(dataset, angles, h, fam, estimator, rng=np.random.default_rng(seed))
+    fits = fit_queries(dataset, angles, h, fam, estimator)
     if not fits.ok.all():
         i = int(np.argmin(fits.ok))
         click.echo(f"numerical failure at query row {i + 1}: {fits.error(i)}", err=True)

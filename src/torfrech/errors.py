@@ -48,7 +48,7 @@ class DegenerateWeightsError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An iterative solver hit its iteration cap; carries the best iterate."""
+    """An iterative solver stalled or hit its iteration cap; carries the best iterate."""
 
     def __init__(self, message: str, best_iterate=None, best_objective: float = float("nan")):
         super().__init__(message)

@@ -67,7 +67,7 @@ EMPTY = "empty"                # every kernel value is zero (local constant)
 SINGULAR = "singular"          # mu2 exceeds CONDITION_LIMIT (local linear)
 SIGMA = "sigma"                # sigma fails the guard (local linear)
 WEIGHTS = "weights"            # weights do not sum to a positive value
-NONCONVERGED = "nonconverged"  # the mean solver hit its iteration cap
+NONCONVERGED = "nonconverged"  # the mean solver stalled or hit its iteration cap
 
 
 def normalize_estimator(name: str) -> str:
@@ -296,25 +296,23 @@ class QueryBatch:
         weights[ok] = kvals[ok] / mu0[ok, None]
         return weights, ok, np.full(ok.shape, np.nan), np.full(ok.shape, np.nan)
 
-    def estimates(self, h: BandwidthVector, kernel: KernelFamily, estimator: str,
-                  rng=None):
+    def estimates(self, h: BandwidthVector, kernel: KernelFamily, estimator: str):
         """Fit every query row; failed rows carry their cause rather than raise."""
         weights, ok, cond, sigma = self.weight_rows(h, kernel, estimator)
         # failed weight rows are zero, and the solver skips rows summing to <= 0
         values, solved, iterations, converged = self.data.space.frechet_mean_batch(
-            self.data.responses, weights, rng=rng)
+            self.data.responses, weights)
         cause = _causes(normalize_estimator(estimator) == LOCAL_CONSTANT, ok, cond,
                         solved, converged)
         return QueryFits(values, cond, sigma, iterations, cause)
 
 
 def fit_queries(data: Dataset, query_angles, h: BandwidthVector, kernel: KernelFamily,
-                estimator: str, rng=None) -> QueryFits:
-    """Fit every query row in QueryBatch chunks of QUERY_CHUNK_CELLS cells; the
-    chunks draw their sphere restarts from rng (default: seed 0 per chunk)."""
+                estimator: str) -> QueryFits:
+    """Fit every query row in QueryBatch chunks of QUERY_CHUNK_CELLS cells."""
     queries = np.atleast_2d(np.asarray(query_angles, dtype=float))
     step = max(1, QUERY_CHUNK_CELLS // data.n)
-    parts = [QueryBatch(data, queries[i:i + step]).estimates(h, kernel, estimator, rng)
+    parts = [QueryBatch(data, queries[i:i + step]).estimates(h, kernel, estimator)
              for i in range(0, queries.shape[0], step)]
     return QueryFits(*(np.concatenate([getattr(p, f.name) for p in parts])
                        for f in fields(QueryFits)))
@@ -346,21 +344,21 @@ def local_linear_weights(moments: LocalMoments) -> np.ndarray:
 
 
 def local_constant_estimate(data: Dataset, x: TorusPoint, h: BandwidthVector,
-                            kernel: KernelFamily, rng=None) -> LocalFit:
+                            kernel: KernelFamily) -> LocalFit:
     """Kernel-weighted Fréchet mean at the query (metric Nadaraya-Watson)."""
-    return _fit_one(data, x, h, kernel, LOCAL_CONSTANT, rng)
+    return _fit_one(data, x, h, kernel, LOCAL_CONSTANT)
 
 
 def local_linear_estimate(data: Dataset, x: TorusPoint, h: BandwidthVector,
-                          kernel: KernelFamily, rng=None) -> LocalFit:
+                          kernel: KernelFamily) -> LocalFit:
     """Fréchet mean under the tangent-corrected signed weights."""
-    return _fit_one(data, x, h, kernel, LOCAL_LINEAR, rng)
+    return _fit_one(data, x, h, kernel, LOCAL_LINEAR)
 
 
 def _fit_one(data: Dataset, x: TorusPoint, h: BandwidthVector, kernel: KernelFamily,
-             estimator: str, rng) -> LocalFit:
+             estimator: str) -> LocalFit:
     """fit_queries on a batch of one; a failed row raises its typed error."""
-    fits = fit_queries(data, x.angles, h, kernel, estimator, rng=rng)
+    fits = fit_queries(data, x.angles, h, kernel, estimator)
     if not fits.ok[0]:
         raise fits.error(0)
     # fit_queries keeps no weight rows; recomputing gives the bits it used

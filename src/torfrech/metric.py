@@ -7,8 +7,9 @@ solver is written to stay well-defined as long as the weights sum to a
 positive value:
 
 * scalars: closed-form weighted average;
-* spheres: projected gradient on the sphere with backtracking line search,
-  started from the best sample point plus random restarts;
+* spheres: Riemannian Newton (closed-form Hessian, eigenvalues in absolute
+  value) with an Armijo line search along geodesics, from the best of a few
+  deterministic start points;
 * distributions on an interval (quantile grid): weighted average of the
   quantile vectors followed by projection onto the nondecreasing cone;
 * graph Laplacians: box-constrained projected gradient over the
@@ -33,9 +34,10 @@ from .errors import (
     UnsupportedOracleError,
 )
 
-_STEP_CAP = 1e3  # upper bound for line-search step growth
-_SPHERE_RESTARTS = 3  # random starts per row, besides the best sample point
-_SPHERE_TOL = 1e-10  # stop once an accepted step lowers the objective by less
+_SPHERE_START_SAMPLES = 3  # top- and bottom-weighted samples tried as starts
+_SPHERE_CURVATURE_FLOOR = 1e-3  # least |Hessian eigenvalue|, relative to sum |w|
+_SPHERE_TOL = 1e-10  # Newton steps predicting a smaller decrease skip the line search
+_SPHERE_HALVINGS = 30  # line-search halvings before a row counts as stalled
 _SPHERE_MAX_ITER = 500
 _LAPLACIAN_TOL = 1e-10
 _LAPLACIAN_MAX_ITER = 2000
@@ -69,7 +71,7 @@ class ResponseSpace(abc.ABC):
         """Rowwise squared distances between two stacks of payloads (no validation)."""
 
     @abc.abstractmethod
-    def _mean_batch(self, stacked: np.ndarray, weight_rows: np.ndarray, rng):
+    def _mean_batch(self, stacked: np.ndarray, weight_rows: np.ndarray):
         """Solve one mean per weight row; returns (values, iterations, converged)."""
 
     @abc.abstractmethod
@@ -98,7 +100,7 @@ class ResponseSpace(abc.ABC):
         return float(np.dot(weights, self.pairwise_dist2(stacked,
                                                          np.broadcast_to(y, stacked.shape))))
 
-    def frechet_mean_batch(self, stacked: np.ndarray, weight_rows: np.ndarray, rng=None):
+    def frechet_mean_batch(self, stacked: np.ndarray, weight_rows: np.ndarray):
         """Batched means over pre-validated payloads.
 
         Returns (values, ok, iterations, converged); rows whose weights do
@@ -106,32 +108,30 @@ class ResponseSpace(abc.ABC):
         the solver.
         """
         weight_rows = np.asarray(weight_rows, dtype=float)
-        if rng is None:
-            rng = np.random.default_rng(0)
         ok = weight_rows.sum(axis=1) > 0.0
         values = np.zeros((weight_rows.shape[0],) + stacked.shape[1:])
         iterations = np.zeros(weight_rows.shape[0], dtype=int)
         converged = np.zeros(weight_rows.shape[0], dtype=bool)
         if np.any(ok):
-            vals, iters, conv = self._mean_batch(stacked, weight_rows[ok], rng)
+            vals, iters, conv = self._mean_batch(stacked, weight_rows[ok])
             values[ok] = vals
             iterations[ok] = iters
             converged[ok] = conv
         return values, ok, iterations, converged
 
 
-def weighted_frechet_mean(space: ResponseSpace, points, weights, rng=None) -> MeanResult:
+def weighted_frechet_mean(space: ResponseSpace, points, weights) -> MeanResult:
     """Minimize the weighted sum of squared distances over the space.
 
     Raises DegenerateWeightsError when the weights do not sum to a positive
     value and ConvergenceError (carrying the best iterate) when the solver
-    exhausts its iteration budget.
+    stalls or exhausts its iteration budget.
     """
     stacked = space.stack(points)
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if w.shape[0] != stacked.shape[0]:
         raise ValueError(f"{stacked.shape[0]} points but {w.shape[0]} weights")
-    vals, ok, iters, conv = space.frechet_mean_batch(stacked, w[None, :], rng=rng)
+    vals, ok, iters, conv = space.frechet_mean_batch(stacked, w[None, :])
     if not ok[0]:
         raise DegenerateWeightsError(f"weights sum to {float(w.sum())}; need a positive total")
     value = vals[0] if stacked.ndim > 1 else float(vals[0])
@@ -197,7 +197,7 @@ class ScalarSpace(ResponseSpace):
     def pairwise_dist2(self, a, b):
         return (np.asarray(a) - np.asarray(b)) ** 2
 
-    def _mean_batch(self, stacked, weight_rows, rng):
+    def _mean_batch(self, stacked, weight_rows):
         # einsum keeps one summation order for numerator and denominator, so
         # constant data is reproduced exactly
         totals = np.einsum("qn->q", weight_rows)
@@ -243,83 +243,96 @@ class SphereSpace(ResponseSpace):
         dots = np.clip(np.einsum("nm,nm->n", np.asarray(a), np.asarray(b)), -1.0, 1.0)
         return np.arccos(dots) ** 2
 
-    def _mean_batch(self, stacked, weight_rows, rng):
-        pts = stacked
-        q, n = weight_rows.shape
-        m = pts.shape[1]
-        gram = np.clip(pts @ pts.T, -1.0, 1.0)
-        d2 = np.arccos(gram) ** 2
-        best_idx = np.argmin(weight_rows @ d2, axis=1)
-        starts = [pts[best_idx]]
-        for _ in range(_SPHERE_RESTARTS):
-            cand = rng.standard_normal((q, m))
-            norms = np.linalg.norm(cand, axis=1, keepdims=True)
-            norms[norms < 1e-12] = 1.0
-            starts.append(cand / norms)
-        n_starts = len(starts)
-        y = np.concatenate(starts, axis=0)
-        w = np.tile(weight_rows, (n_starts, 1))
-        rows = y.shape[0]
+    def _mean_batch(self, stacked, weight_rows):
+        pts, w = stacked, weight_rows
+        (q, n), m = w.shape, pts.shape[1]
+        scale = np.abs(w).sum(axis=1)
+        outer = np.einsum("ni,nj->nij", pts, pts).reshape(n, m * m)
+        # Start from the best of the normalised extrinsic mean, the highest-weighted
+        # samples and the antipodes of the most negatively weighted ones.
+        top = min(_SPHERE_START_SAMPLES, n)
+        low, high = (np.argpartition(v, top - 1, axis=1)[:, :top] for v in (w, -w))
+        ext = w @ pts
+        ext_norm = np.linalg.norm(ext, axis=1)
+        cands = np.concatenate([(ext / np.maximum(ext_norm, 1e-300)[:, None])[:, None],
+                                pts[high], -pts[low]], axis=1)
+        cand_f = np.einsum("qn,qcn->qc", w, np.arccos(np.clip(cands @ pts.T, -1.0, 1.0)) ** 2)
+        cand_f[ext_norm < 1e-12, 0] = np.inf
+        cand_f[:, 1 + top:][np.take_along_axis(w, low, axis=1) >= 0.0] = np.inf
+        y = cands[np.arange(q), np.argmin(cand_f, axis=1)]
         # Row x observation work arrays, reused through views of their leading rows:
         # no step allocates anything of size n (no allocator churn, no page faults).
-        w_buf, cos_buf, dist_buf, work_buf = (np.empty((rows, n)) for _ in range(4))
-        near_one = np.empty((rows, n), dtype=bool)
-
-        def value_and_grad(yc, wc):
-            k = yc.shape[0]
-            s = np.matmul(yc, pts.T, out=cos_buf[:k])
-            np.clip(s, -1.0, 1.0, out=s)
-            d = np.arccos(s, out=dist_buf[:k])
-            t = np.multiply(d, d, out=work_buf[:k])
-            f = np.einsum("rn,rn->r", wc, t)
-            # d/ds of arccos(s)^2 is -2*arccos(s)/sqrt(1-s^2); the ratio tends
-            # to 1 at s -> 1 and is capped near the antipode.
-            np.subtract(1.0, np.multiply(s, s, out=t), out=t)
-            np.sqrt(np.maximum(t, 1e-14, out=t), out=t)
-            np.divide(d, t, out=t)
-            np.copyto(t, 1.0, where=np.greater(s, 1.0 - 1e-12, out=near_one[:k]))
-            t *= wc
-            grad = -2.0 * (t @ pts)
-            grad -= np.einsum("rn,rn->r", grad, yc)[:, None] * yc  # tangent part
-            return f, grad
-
-        f, grad = value_and_grad(y, w)
-        eta = 0.5 / np.maximum(np.abs(w).sum(axis=1), 1e-12)
-        active = np.ones(rows, dtype=bool)
-        iters = np.zeros(rows, dtype=int)
+        s_buf, d_buf, t_buf, a_buf, w_buf = (np.empty((q, n)) for _ in range(5))
+        near_buf, tip_buf = (np.empty((q, n), dtype=bool) for _ in range(2))
+        f, slope, t_step, step = np.full(q, np.inf), np.zeros(q), np.ones(q), np.zeros((q, m))
+        active, converged, blind = np.ones(q, bool), np.zeros(q, bool), np.zeros(q, bool)
+        iters = np.zeros(q, dtype=int)
         for _ in range(_SPHERE_MAX_ITER):
-            if not np.any(active):
-                break
             idx = np.nonzero(active)[0]
-            fa, ga, ea = f[idx], grad[idx], eta[idx]
-            prop = y[idx] - ea[:, None] * ga
-            prop /= np.linalg.norm(prop, axis=1, keepdims=True)
-            # the gradient at every proposal is kept for the rows that accept it
-            f_prop, g_prop = value_and_grad(
-                prop, np.take(w, idx, axis=0, out=w_buf[:idx.size], mode="clip"))
-            gnorm2 = np.einsum("rn,rn->r", ga, ga)
-            accept = f_prop <= fa - 1e-4 * ea * gnorm2
-            acc_idx = idx[accept]
-            if acc_idx.size:
-                y[acc_idx] = prop[accept]
-                f[acc_idx] = f_prop[accept]
-                grad[acc_idx] = g_prop[accept]
-                eta[acc_idx] = np.minimum(eta[acc_idx] * 1.5, _STEP_CAP)
-                active[acc_idx[fa[accept] - f_prop[accept] < _SPHERE_TOL]] = False
-            rej_idx = idx[~accept]
-            if rej_idx.size:
-                eta[rej_idx] *= 0.5
-                active[rej_idx[eta[rej_idx] < 1e-18]] = False
+            if idx.size == 0:
+                break
+            k = idx.size
+            v = t_step[idx, None] * step[idx]  # along the geodesic: exp_y(v)
+            theta = np.sqrt(np.einsum("rm,rm->r", v, v))[:, None]
+            yc = np.cos(theta) * y[idx] + v * np.divide(
+                np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
+            yc /= np.sqrt(np.einsum("rm,rm->r", yc, yc))[:, None]
+            wc = np.take(w, idx, axis=0, out=w_buf[:k], mode="clip")
+            s = np.clip(np.matmul(yc, pts.T, out=s_buf[:k]), -1.0, 1.0, out=s_buf[:k])
+            d = np.arccos(s, out=d_buf[:k])
+            fc = np.einsum("rn,rn->r", wc, np.multiply(d, d, out=t_buf[:k]))
             iters[idx] += 1
-        converged = ~active  # rows that stopped by tolerance (or stalled at a
-        # stationary point); rows still active hit the iteration cap
-        y_r = y.reshape(n_starts, q, m)
-        f_r = f.reshape(n_starts, q)
-        it_r = iters.reshape(n_starts, q)
-        co_r = converged.reshape(n_starts, q)
-        winner = np.argmin(f_r, axis=0)
-        cols = np.arange(q)
-        return y_r[winner, cols], it_r[winner, cols], co_r[winner, cols]
+            # Within 1e-4 rad of a sample the limits d / sin d -> 1, c -> 1/3 hold.
+            # Within 1.4e-7 rad of its antipode d^2 has a cone tip: such samples leave
+            # gradient and Hessian, and their weights, summing to -u, add a slope 2 pi u.
+            near = np.greater(s, 1.0 - 5e-9, out=near_buf[:k])
+            tip = np.less(s, -1.0 + 1e-14, out=tip_buf[:k])
+            t = np.maximum(np.subtract(1.0, np.multiply(s, s, out=t_buf[:k]), out=t_buf[:k]),
+                           1e-14, out=t_buf[:k])  # sin^2 d
+            a = np.divide(d, np.sqrt(t, out=a_buf[:k]), out=a_buf[:k])
+            np.copyto(a, 1.0, where=near)
+            np.copyto(a, 0.0, where=tip)
+            # c = (1 - d cot d) / sin^2 d, the radial excess of the Hessian of d^2
+            c = np.divide(np.subtract(1.0, np.multiply(a, s, out=d), out=d), t, out=d)
+            np.copyto(c, 1.0 / 3.0, where=near)
+            np.copyto(c, 0.0, where=tip)
+            cone = -2.0 * math.pi * np.multiply(wc, tip, out=t).sum(axis=1)
+            a *= wc
+            c *= wc
+            # Armijo: 1e-4 of the linearly predicted decrease; the start (f = inf) passes
+            accept = (fc <= f[idx] + 1e-4 * t_step[idx] * slope[idx]) | blind[idx]
+            rej = idx[~accept]
+            t_step[rej] *= 0.5
+            active[rej[t_step[rej] < 0.5 ** _SPHERE_HALVINGS]] = False  # stalled
+            rows, yr, cone = idx[accept], yc[accept], cone[accept]
+            y[rows], f[rows] = yr, fc[accept]
+            g = -2.0 * (a @ pts)[accept]
+            g -= np.einsum("rm,rm->r", g, yr)[:, None] * yr
+            g_norm = np.sqrt(np.einsum("rm,rm->r", g, g))
+            done = rows[(g_norm <= 1e-9 * scale[rows]) | (g_norm < cone)]
+            converged[done], active[done] = True, False
+            # Hessian 2 [(sum w d cot d) P + P (sum w c x x') P], P = I - y y'. Its
+            # eigenvalues in absolute value, floored, keep -|H|^-1 g a descent step for
+            # signed weights; the one put on y (its null space) is inert, as g is in P.
+            proj = np.eye(m) - yr[:, :, None] * yr[:, None, :]
+            hess = 2.0 * (np.einsum("rn,rn->r", a, s)[accept, None, None] * proj
+                          + proj @ (c @ outer)[accept].reshape(-1, m, m) @ proj)
+            lam, vec = np.linalg.eigh(hess + scale[rows, None, None] * (np.eye(m) - proj))
+            coef = np.einsum("rmk,rm->rk", vec, g)
+            coef /= np.maximum(np.abs(lam), _SPHERE_CURVATURE_FLOOR * scale[rows, None])
+            v = -np.einsum("rmk,rk->rm", vec, coef)
+            v -= np.einsum("rm,rm->r", v, yr)[:, None] * yr
+            # a step predicted to lower f by less than the tolerance is taken whole:
+            # a line search there would only measure rounding
+            blind[rows] = -0.5 * np.einsum("rm,rm->r", g, v) < _SPHERE_TOL
+            # Off a cone tip only -g is sure to descend; it gets the Newton length,
+            # and no step exceeds a quarter turn.
+            v_norm = np.sqrt(np.einsum("rm,rm->r", v, v))
+            v[cone > 0.0] = -(g * (v_norm / np.maximum(g_norm, 1e-300))[:, None])[cone > 0.0]
+            v *= np.minimum(1.0, (0.5 * math.pi) / np.maximum(v_norm, 1e-300))[:, None]
+            step[rows], t_step[rows] = v, 1.0
+            slope[rows] = np.einsum("rm,rm->r", g, v) + cone * np.linalg.norm(v, axis=1)
+        return y, iters, converged
 
     def payload_to_json(self, payload):
         return [float(v) for v in self.validate(payload)]
@@ -373,15 +386,16 @@ class WassersteinSpace(ResponseSpace):
         diff = np.asarray(a) - np.asarray(b)
         return np.mean(diff * diff, axis=1)
 
-    def _mean_batch(self, stacked, weight_rows, rng):
+    def _mean_batch(self, stacked, weight_rows):
         totals = np.einsum("qn->q", weight_rows)
         avg = np.einsum("qn,ng->qg", weight_rows, stacked) / totals[:, None]
-        out = np.empty_like(avg)
-        for r in range(avg.shape[0]):
-            out[r] = isotonic_projection(avg[r])
-        np.clip(out, self.a, self.b, out=out)
+        # pool adjacent violators returns a nondecreasing row bit for bit, so
+        # only rows that decrease somewhere (signed weights) need it
+        for r in np.nonzero(np.any(np.diff(avg, axis=1) < 0.0, axis=1))[0]:
+            avg[r] = isotonic_projection(avg[r])
+        np.clip(avg, self.a, self.b, out=avg)
         q = weight_rows.shape[0]
-        return out, np.zeros(q, dtype=int), np.ones(q, dtype=bool)
+        return avg, np.zeros(q, dtype=int), np.ones(q, dtype=bool)
 
     def payload_to_json(self, payload):
         return [float(v) for v in self.validate(payload)]
@@ -470,7 +484,7 @@ class GraphLaplacianSpace(ResponseSpace):
                 break
         return lap, it, converged
 
-    def _mean_batch(self, stacked, weight_rows, rng):
+    def _mean_batch(self, stacked, weight_rows):
         q = weight_rows.shape[0]
         values = np.empty((q, self.n_nodes, self.n_nodes))
         iters = np.empty(q, dtype=int)

@@ -183,7 +183,7 @@ def mise(per_replication_estimates, truths: np.ndarray, quad_per_axis: int) -> f
 
 def _run_replication(args) -> dict:
     config, rep, seed_seq = args
-    data_seq, cv_seq, fit_seq = seed_seq.spawn(3)
+    data_seq, cv_seq = seed_seq.spawn(2)
     rng = np.random.default_rng(data_seq)
     angles = sample_uniform_torus(2, config.n, rng)
     mus = regression_surface(angles)
@@ -192,15 +192,13 @@ def _run_replication(args) -> dict:
     cv_seed = int(cv_seq.generate_state(1, np.uint32)[0])
     grid_angles, _ = quadrature_grid(config.quad_per_axis)
     truths = regression_surface(grid_angles)
-    fit_children = fit_seq.spawn(len(config.estimators))
 
     out = {"rep": rep}
-    for est, child in zip(config.estimators, fit_children):
+    for est in config.estimators:
         try:
             cv = two_stage_search(data, config.kernel, config.grid, k=config.cv_folds,
                                   seed=cv_seed, estimator=est, threads=1)
-            fits = fit_queries(data, grid_angles, cv.best_h, config.kernel, est,
-                               rng=np.random.default_rng(child))
+            fits = fit_queries(data, grid_angles, cv.best_h, config.kernel, est)
             if not np.all(fits.ok):
                 raise NumericalError(
                     f"{int((~fits.ok).sum())} quadrature fits failed at the selected "

@@ -192,8 +192,7 @@ def test_criterion_6_solver_vs_oracle():
                     w = np.abs(w)
                 bound = 8.0 * np.abs(w).sum() * space.c_w * res + \
                     4.0 * np.abs(w).sum() * res ** 2
-            solver = weighted_frechet_mean(space, pts, w,
-                                           rng=np.random.default_rng(trial))
+            solver = weighted_frechet_mean(space, pts, w)
             oracle = frechet_mean_oracle(space, pts, w, res)
             stacked = space.stack(pts)
             gap = space.objective(stacked, np.asarray(w, float), oracle) - \

@@ -26,7 +26,13 @@ from torfrech.frechet import (
     normalize_estimator,
 )
 from torfrech.kernels import BandwidthVector, KernelFamily
-from torfrech.metric import ScalarSpace, SphereSpace, frechet_mean_oracle
+from torfrech.metric import (
+    ScalarSpace,
+    SphereSpace,
+    WassersteinSpace,
+    frechet_mean_oracle,
+    isotonic_projection,
+)
 from torfrech.torus import TorusPoint
 
 VM = KernelFamily.VON_MISES
@@ -147,7 +153,7 @@ def test_local_constant_sphere_against_oracle():
     data = Dataset.from_payloads(sphere, [TorusPoint(a) for a in angles], payloads)
     x = TorusPoint(angles[0])
     h = BandwidthVector([0.8, 0.8])
-    fit = local_constant_estimate(data, x, h, VM, rng=np.random.default_rng(5))
+    fit = local_constant_estimate(data, x, h, VM)
     oracle = frechet_mean_oracle(sphere, payloads, fit.weights, math.pi / 180.0)
     obj_fit = sphere.objective(data.responses, fit.weights, fit.estimate)
     obj_oracle = sphere.objective(data.responses, fit.weights, oracle)
@@ -302,6 +308,25 @@ def test_batch_matches_single_query_path():
             assert fits.ok[i]
             assert np.allclose(weights[i], fit.weights, atol=1e-12)
             assert fits.values[i] == pytest.approx(fit.estimate, abs=1e-12)
+
+
+def test_wasserstein_means_equal_always_projected_means():
+    """Projection is skipped for nondecreasing rows; the means stay bit for bit."""
+    space = WassersteinSpace(10, 0.0, 1.0)
+    rng = np.random.default_rng(31)
+    angles = rng.uniform(-math.pi, math.pi, size=(40, 2))
+    data = Dataset(space, angles, np.sort(rng.uniform(0.0, 1.0, size=(40, 10)), axis=1))
+    batch = QueryBatch(data, rng.uniform(-math.pi, math.pi, size=(30, 2)))
+    decreasing = 0
+    for estimator in (LOCAL_CONSTANT, LOCAL_LINEAR):
+        weights, ok = batch.weight_rows(BandwidthVector([0.3, 0.3]), VM, estimator)[:2]
+        weights = weights[ok]
+        avg = np.einsum("qn,ng->qg", weights, data.responses) / \
+            np.einsum("qn->q", weights)[:, None]
+        decreasing += int(np.any(np.diff(avg, axis=1) < 0.0, axis=1).sum())
+        expected = np.clip([isotonic_projection(row) for row in avg], 0.0, 1.0)
+        assert np.array_equal(space.frechet_mean_batch(data.responses, weights)[0], expected)
+    assert decreasing > 0
 
 
 CAUSE_ERRORS = {

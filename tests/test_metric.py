@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torfrech.errors import DegenerateWeightsError, PayloadError, UnsupportedOracleError
 from torfrech.metric import (
@@ -94,8 +97,7 @@ def test_scalar_mean_closed_form():
 
 
 def test_sphere_midpoint():
-    res = weighted_frechet_mean(SPHERE, [[1, 0, 0], [0, 1, 0]], [1.0, 1.0],
-                                rng=np.random.default_rng(3))
+    res = weighted_frechet_mean(SPHERE, [[1, 0, 0], [0, 1, 0]], [1.0, 1.0])
     root = 1.0 / math.sqrt(2.0)
     assert np.allclose(res.value, [root, root, 0.0], atol=1e-4)
     assert res.converged
@@ -105,9 +107,94 @@ def test_sphere_mean_matches_grid_oracle():
     rng = np.random.default_rng(102)
     pts = [random_payload(SPHERE, rng) for _ in range(3)]
     weights = [0.5, 0.3, 0.2]
-    res = weighted_frechet_mean(SPHERE, pts, weights, rng=np.random.default_rng(7))
+    res = weighted_frechet_mean(SPHERE, pts, weights)
     oracle = frechet_mean_oracle(SPHERE, pts, weights, DEG)
     assert SPHERE.distance(res.value, oracle) <= 0.02
+
+
+def _sphere_gradient_and_cone(pts, w, y):
+    """Riemannian gradient of sum_i w_i d(y, x_i)^2 without the samples whose
+    antipode y is (within 1.4e-7 rad), and the slope of the cone those add."""
+    s = np.clip(pts @ y, -1.0, 1.0)
+    tip = s < -1.0 + 1e-14
+    d = np.arccos(s[~tip])
+    sin = np.sqrt(1.0 - s[~tip] ** 2)
+    ratio = np.divide(d, sin, out=np.ones_like(d), where=sin > 1e-8)
+    g = -2.0 * (w[~tip] * ratio) @ pts[~tip]
+    g -= (g @ y) * y
+    return float(np.linalg.norm(g)), -2.0 * math.pi * float(w[tip].sum())
+
+
+def test_sphere_converged_rows_are_stationary():
+    """A row reported converged has a gradient of at most 1e-9 sum|w|, or sits
+    on an optimal cone tip (the antipode of negatively weighted samples); a
+    stalled line search is never reported as converged."""
+    rng = np.random.default_rng(108)
+    converged = at_tip = 0
+    for trial in range(60):
+        n = int(rng.integers(2, 60))
+        pts = rng.standard_normal((n, 3))
+        if trial % 3:
+            pts = pts * (0.3 if trial % 3 == 1 else 1.0) + rng.standard_normal(3)
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        w = rng.uniform(-0.3, 1.0, size=(8, n)) * rng.uniform(0.5, 3.0, size=(8, 1))
+        if trial % 3 == 2:
+            w[:, :2] *= -rng.uniform(1.0, 20.0, size=(8, 1))
+        values, ok, _, conv = SPHERE.frechet_mean_batch(pts, w)
+        for r in np.nonzero(ok & conv)[0]:
+            converged += 1
+            g, cone = _sphere_gradient_and_cone(pts, w[r], values[r])
+            if g > 1e-9 * np.abs(w[r]).sum():
+                assert g < cone
+                at_tip += 1
+    assert converged >= 400 and 0 < at_tip < converged
+
+
+def test_sphere_solver_memory_envelope():
+    """Four rows over 20,000 samples: no n x n (3.2 GB) or q x n x n array."""
+    rng = np.random.default_rng(109)
+    pts = rng.standard_normal((20_000, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    w = rng.uniform(-0.2, 1.0, size=(4, 20_000))
+    tracemalloc.start()
+    try:
+        _, ok, _, conv = SPHERE.frechet_mean_batch(pts, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all() and conv.all()
+    assert peak < 64 * 2 ** 20
+
+
+def _rotation(rng):
+    qm, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    qm *= np.sign(np.diag(r))
+    return qm if np.linalg.det(qm) > 0 else -qm
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.floats(0.01, 0.75))
+def test_sphere_mean_is_rotation_equivariant_and_deterministic(seed, n, radius):
+    """Positive weights on a cap of radius < pi/4 have a unique mean (Afsari
+    2011), so rotating the data rotates the solver's answer."""
+    rng = np.random.default_rng(seed)
+    center = rng.standard_normal(3)
+    center /= np.linalg.norm(center)
+    tangent = rng.standard_normal((n, 3))
+    tangent -= (tangent @ center)[:, None] * center
+    norms = np.linalg.norm(tangent, axis=1, keepdims=True)
+    angle = radius * rng.uniform(0.0, 1.0, size=(n, 1))
+    pts = np.cos(angle) * center + np.sin(angle) * tangent / np.maximum(norms, 1e-300)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    w = rng.uniform(0.05, 1.0, size=(3, n))
+    rot = _rotation(rng)
+    first = SPHERE.frechet_mean_batch(pts, w)
+    again = SPHERE.frechet_mean_batch(pts, w)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+    rotated = SPHERE.frechet_mean_batch(pts @ rot.T, w)
+    assert first[3].all() and rotated[3].all()
+    assert np.max(np.abs(rotated[0] - first[0] @ rot.T)) <= 1e-8
 
 
 def test_degenerate_weights_error():
@@ -204,7 +291,7 @@ def test_solver_objective_within_oracle_bound(space, res):
             w = rng.uniform(-0.3, 1.0, size=5)
             if w.sum() <= 0.1:
                 w = np.abs(w)
-        solver = weighted_frechet_mean(space, pts, w, rng=np.random.default_rng(trial))
+        solver = weighted_frechet_mean(space, pts, w)
         oracle = frechet_mean_oracle(space, pts, w, res)
         stacked = space.stack(pts)
         obj_oracle = space.objective(stacked, np.asarray(w, float), oracle)
