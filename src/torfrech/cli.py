@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -94,14 +95,24 @@ def _load_config(path):
 
 
 def _merge_config(ctx, config: dict, names):
-    """Fill parameters the user left at their defaults from the config file."""
+    """Fill parameters the user left at their defaults from the config file; a value
+    must be a string or a finite number, converted by its flag's type."""
     from click.core import ParameterSource
 
+    params = {p.name: p for p in ctx.command.params}
     out = {}
     for name in names:
         if name in config and \
                 ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
-            out[name] = config[name]
+            value = config[name]
+            if not (isinstance(value, (str, int)) or
+                    isinstance(value, float) and math.isfinite(value)):
+                raise ValueError(f"config key {name!r} must be a string or a finite number, "
+                                 f"got {json.dumps(value)}")
+            try:
+                out[name] = params[name].type.convert(value, params[name], ctx)
+            except click.BadParameter as exc:
+                raise ValueError(f"config key {name!r}: {exc.message}") from None
         else:
             out[name] = ctx.params[name]
     return out
@@ -197,10 +208,9 @@ def cmd_cv(ctx, data, space_path, estimator, kernel, grid1, stage2_frac,
                                          "stage2_halfwidth", "k", "seed"])
     dataset = load_dataset(data, descriptor_path=space_path)
     fam = KernelFamily.from_name(merged["kernel"])
-    grid = _parse_grid1(str(merged["grid1"]), dataset.dim,
-                        float(merged["stage2_frac"]), int(merged["stage2_halfwidth"]))
-    result = two_stage_search(dataset, fam, grid, k=int(merged["k"]),
-                              seed=int(merged["seed"]),
+    grid = _parse_grid1(merged["grid1"], dataset.dim, merged["stage2_frac"],
+                        merged["stage2_halfwidth"])
+    result = two_stage_search(dataset, fam, grid, k=merged["k"], seed=merged["seed"],
                               estimator=normalize_estimator(merged["estimator"]))
     _dump_json(out, result.to_json())
 
@@ -225,11 +235,11 @@ def cmd_simulate(ctx, n, sigma, reps, seed, quad, grid1, estimators, kernel, out
     config = _load_config(config_path)
     merged = _merge_config(ctx, config, ["n", "sigma", "reps", "seed", "quad",
                                          "grid1", "estimators", "kernel"])
-    grid = _parse_grid1(str(merged["grid1"]), 2, 0.25, 2)
+    grid = _parse_grid1(merged["grid1"], 2, 0.25, 2)
     sim_config = SimConfig(
-        n=int(merged["n"]), sigma=float(merged["sigma"]), reps=int(merged["reps"]),
-        seed=int(merged["seed"]), grid=grid, quad_per_axis=int(merged["quad"]),
-        estimators=tuple(str(merged["estimators"]).split(",")),
+        n=merged["n"], sigma=merged["sigma"], reps=merged["reps"], seed=merged["seed"],
+        grid=grid, quad_per_axis=merged["quad"],
+        estimators=tuple(merged["estimators"].split(",")),
         kernel=KernelFamily.from_name(merged["kernel"]))
     report = run_study(sim_config)
     _dump_json(out, report.to_json())

@@ -51,8 +51,15 @@ def save_dataset(path, dataset: Dataset, descriptor_path=None) -> None:
 
 
 def load_space(descriptor_path) -> ResponseSpace:
-    with open(descriptor_path) as fh:
-        return space_from_json(json.load(fh))
+    """Read a space descriptor; any failure is a DatasetFormatError naming the file."""
+    try:
+        with open(descriptor_path) as fh:
+            return space_from_json(json.load(fh))
+    except OSError as exc:
+        raise DatasetFormatError(
+            f"{descriptor_path}: cannot read the space descriptor ({exc.strerror})") from None
+    except ValueError as exc:  # invalid JSON or an invalid descriptor
+        raise DatasetFormatError(f"{descriptor_path}: {exc}") from None
 
 
 def load_dataset(path, space: ResponseSpace | None = None,

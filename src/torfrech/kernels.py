@@ -40,7 +40,10 @@ class BandwidthVector:
     h: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.h, dtype=float))
+        try:
+            arr = np.atleast_1d(np.asarray(self.h, dtype=float))
+        except TypeError as exc:
+            raise ValueError(f"bandwidths must be numbers ({exc})") from None
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("BandwidthVector needs a 1-d vector of bandwidths")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):

@@ -13,7 +13,7 @@ positive value:
 * distributions on an interval (quantile grid): weighted average of the
   quantile vectors followed by projection onto the nondecreasing cone;
 * graph Laplacians: box-constrained projected gradient over the
-  off-diagonal edge weights.
+  off-diagonal edge weights, run on all weight rows of a batch at once.
 
 A brute-force grid oracle is provided for small spaces so the solvers can
 be checked against exhaustive minimization.
@@ -41,6 +41,14 @@ _SPHERE_HALVINGS = 30  # line-search halvings before a row counts as stalled
 _SPHERE_MAX_ITER = 500
 _LAPLACIAN_TOL = 1e-10
 _LAPLACIAN_MAX_ITER = 2000
+
+
+def _float_array(payload) -> np.ndarray:
+    """A payload as a float array; PayloadError when numpy cannot read it as numbers."""
+    try:
+        return np.asarray(payload, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PayloadError(f"payload is not numeric ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,8 @@ class ResponseSpace(abc.ABC):
     def payload_to_json(self, payload):
         ...
 
-    @abc.abstractmethod
     def payload_from_json(self, obj):
-        ...
+        return self.validate(obj)
 
     @abc.abstractmethod
     def to_json(self) -> dict:
@@ -184,7 +191,7 @@ class ScalarSpace(ResponseSpace):
         self.hi = hi
 
     def validate(self, payload):
-        arr = np.asarray(payload, dtype=float)
+        arr = _float_array(payload)
         if arr.shape != ():
             raise PayloadError(f"scalar payload must be a single number, got shape {arr.shape}")
         if not np.isfinite(arr):
@@ -208,9 +215,6 @@ class ScalarSpace(ResponseSpace):
     def payload_to_json(self, payload):
         return self.validate(payload)
 
-    def payload_from_json(self, obj):
-        return self.validate(obj)
-
     def to_json(self):
         return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
 
@@ -226,7 +230,7 @@ class SphereSpace(ResponseSpace):
         self.p = int(p)
 
     def validate(self, payload):
-        arr = np.asarray(payload, dtype=float)
+        arr = _float_array(payload)
         if arr.shape != (self.p + 1,):
             raise PayloadError(f"sphere payload must have {self.p + 1} coordinates, "
                                f"got shape {arr.shape}")
@@ -337,9 +341,6 @@ class SphereSpace(ResponseSpace):
     def payload_to_json(self, payload):
         return [float(v) for v in self.validate(payload)]
 
-    def payload_from_json(self, obj):
-        return self.validate(np.asarray(obj, dtype=float))
-
     def to_json(self):
         return {"kind": self.kind, "p": self.p}
 
@@ -367,7 +368,7 @@ class WassersteinSpace(ResponseSpace):
         return (np.arange(self.grid_size) + 0.5) / self.grid_size
 
     def validate(self, payload):
-        arr = np.asarray(payload, dtype=float)
+        arr = _float_array(payload)
         if arr.shape != (self.grid_size,):
             raise PayloadError(f"quantile payload must have {self.grid_size} values, "
                                f"got shape {arr.shape}")
@@ -400,9 +401,6 @@ class WassersteinSpace(ResponseSpace):
     def payload_to_json(self, payload):
         return [float(v) for v in self.validate(payload)]
 
-    def payload_from_json(self, obj):
-        return self.validate(np.asarray(obj, dtype=float))
-
     def to_json(self):
         return {"kind": self.kind, "grid": self.grid_size, "a": self.a, "b": self.b}
 
@@ -412,7 +410,8 @@ class GraphLaplacianSpace(ResponseSpace):
 
     Valid payloads are symmetric with zero row sums and off-diagonal entries
     in [-C_w, 0], metrized by the Frobenius distance. Means are solved over
-    the off-diagonal edge weights with a box-constrained projected gradient.
+    the off-diagonal edge weights with a box-constrained projected gradient run
+    on all weight rows at once; each row stops on its own rule and leaves the batch.
     """
 
     kind = "graph_laplacian"
@@ -427,7 +426,7 @@ class GraphLaplacianSpace(ResponseSpace):
         self._iu = np.triu_indices(self.n_nodes, 1)
 
     def validate(self, payload):
-        arr = np.asarray(payload, dtype=float)
+        arr = _float_array(payload)
         k = self.n_nodes
         if arr.shape == (k * k,):
             arr = arr.reshape(k, k)
@@ -453,73 +452,71 @@ class GraphLaplacianSpace(ResponseSpace):
         return np.einsum("nij,nij->n", diff, diff)
 
     def edge_weights_to_laplacian(self, w: np.ndarray) -> np.ndarray:
-        """Build the Laplacian from upper-triangle edge weights (row-major order)."""
-        k = self.n_nodes
-        lap = np.zeros((k, k))
-        lap[self._iu] = -w
-        lap[self._iu[1], self._iu[0]] = -w
-        np.fill_diagonal(lap, -lap.sum(axis=1))
+        """Laplacians from upper-triangle edge weights (row-major order), shape (..., E)."""
+        k, (iu, ju) = self.n_nodes, self._iu
+        lap = np.zeros(np.shape(w)[:-1] + (k, k))
+        lap[..., iu, ju] = lap[..., ju, iu] = np.negative(w)
+        lap[..., np.arange(k), np.arange(k)] = -lap.sum(axis=-1)
         return lap
 
-    def _mean_one(self, stacked, weights):
-        total = weights.sum()
-        target = np.tensordot(weights, stacked, axes=1) / total
-        iu, ju = self._iu
-        w = np.clip(-target[iu, ju], 0.0, self.c_w)
-        step = 1.0 / (4.0 * self.n_nodes)
+    def _mean_batch(self, stacked, weight_rows):
+        (q, n), k, (iu, ju) = weight_rows.shape, self.n_nodes, self._iu
+        # a vector-matrix product per row, so a row's bits do not depend on its batch
+        target = (weight_rows[:, None, :] @ stacked.reshape(n, k * k)).reshape(q, k, k)
+        target /= weight_rows.sum(axis=1)[:, None, None]
+        w = np.clip(-target[:, iu, ju], 0.0, self.c_w)
+        step = 1.0 / (4.0 * k)
         lap = self.edge_weights_to_laplacian(w)
-        f = float(np.sum((lap - target) ** 2))
-        it = 0
-        converged = False
+        f = np.sum((lap - target) ** 2, axis=(1, 2))
+        values, rows = np.empty_like(lap), np.arange(q)
+        iters, converged = np.full(q, _LAPLACIAN_MAX_ITER), np.zeros(q, dtype=bool)
         for it in range(1, _LAPLACIAN_MAX_ITER + 1):
             resid = lap - target
-            grad = 2.0 * (resid[iu, iu] + resid[ju, ju] - 2.0 * resid[iu, ju])
+            diag = np.diagonal(resid, axis1=1, axis2=2)
+            grad = 2.0 * (diag[:, iu] + diag[:, ju] - 2.0 * resid[:, iu, ju])
             w_new = np.clip(w - step * grad, 0.0, self.c_w)
-            lap_new = self.edge_weights_to_laplacian(w_new)
-            f_new = float(np.sum((lap_new - target) ** 2))
-            moved = float(np.max(np.abs(w_new - w))) if w.size else 0.0
-            w, lap, decrease, f = w_new, lap_new, f - f_new, f_new
-            if decrease < _LAPLACIAN_TOL and moved < 1e-12:
-                converged = True
-                break
-        return lap, it, converged
-
-    def _mean_batch(self, stacked, weight_rows):
-        q = weight_rows.shape[0]
-        values = np.empty((q, self.n_nodes, self.n_nodes))
-        iters = np.empty(q, dtype=int)
-        conv = np.empty(q, dtype=bool)
-        for r in range(q):
-            values[r], iters[r], conv[r] = self._mean_one(stacked, weight_rows[r])
-        return values, iters, conv
+            lap = self.edge_weights_to_laplacian(w_new)
+            f_new = np.sum((lap - target) ** 2, axis=(1, 2))
+            done = (f - f_new < _LAPLACIAN_TOL) & (np.max(np.abs(w_new - w), axis=1) < 1e-12)
+            w, f = w_new, f_new
+            if done.any():
+                stop = rows[done]
+                values[stop], iters[stop], converged[stop] = lap[done], it, True
+                rows, w, f, lap, target = (a[~done] for a in (rows, w, f, lap, target))
+                if rows.size == 0:
+                    break
+        values[rows] = lap
+        return values, iters, converged
 
     def payload_to_json(self, payload):
         return [float(v) for v in self.validate(payload).ravel()]
-
-    def payload_from_json(self, obj):
-        return self.validate(np.asarray(obj, dtype=float))
 
     def to_json(self):
         return {"kind": self.kind, "k": self.n_nodes, "c_w": self.c_w}
 
 
+_SPACE_FIELDS = {"scalar": (ScalarSpace, ("lo", "hi")), "sphere": (SphereSpace, ("p",)),
+                 "wasserstein": (WassersteinSpace, ("grid", "a", "b")),
+                 "graph_laplacian": (GraphLaplacianSpace, ("k", "c_w"))}
+
+
 def space_from_json(obj: dict) -> ResponseSpace:
-    """Build a response space from its JSON descriptor."""
+    """Build a response space from its JSON descriptor; every field is a finite number."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("space descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
-    try:
-        if kind == "scalar":
-            return ScalarSpace(obj["lo"], obj["hi"])
-        if kind == "sphere":
-            return SphereSpace(obj["p"])
-        if kind == "wasserstein":
-            return WassersteinSpace(obj["grid"], obj["a"], obj["b"])
-        if kind == "graph_laplacian":
-            return GraphLaplacianSpace(obj["k"], obj["c_w"])
-    except KeyError as exc:
-        raise ValueError(f"space descriptor for {kind!r} is missing field {exc}") from exc
-    raise ValueError(f"unknown space kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPACE_FIELDS:
+        raise ValueError(f"unknown space kind {kind!r}")
+    cls, fields = _SPACE_FIELDS[kind]
+    for name in fields:
+        if name not in obj:
+            raise ValueError(f"space descriptor for {kind!r} is missing field {name!r}")
+        value = obj[name]
+        finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        if isinstance(value, bool) or not finite:
+            raise ValueError(f"space descriptor field {name!r} must be a finite number, "
+                             f"got {value!r}")
+    return cls(*(obj[name] for name in fields))
 
 
 def _sphere_grid(resolution: float) -> np.ndarray:
@@ -565,7 +562,7 @@ def frechet_mean_oracle(space: ResponseSpace, points, weights, grid_resolution: 
         best_obj = math.inf
         best_edges = None
         for chunk in np.array_split(combos, max(1, combos.shape[0] // 100_000)):
-            laps = np.array([space.edge_weights_to_laplacian(e) for e in chunk])
+            laps = space.edge_weights_to_laplacian(chunk)
             objs = total * np.einsum("mij,mij->m", laps, laps)
             objs -= 2.0 * np.einsum("mij,ij->m", laps, weighted_sum)
             pos = int(np.argmin(objs))

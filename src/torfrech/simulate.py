@@ -85,17 +85,14 @@ class SimReport:
     excluded: dict
     wall_clock_s: float
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "config": self.config.to_json(),
             "scenario": {"sigma": self.config.sigma, "n": self.config.n},
             "mise": self.mise,
             "excluded": self.excluded,
             "replications": self.replications,
         }
-        if include_timing:
-            out["wall_clock_s"] = self.wall_clock_s
-        return out
 
 
 def regression_surface(angles: np.ndarray) -> np.ndarray:

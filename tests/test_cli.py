@@ -1,9 +1,14 @@
+import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torfrech.cli import main
 from torfrech.frechet import (
@@ -265,6 +270,116 @@ def test_eval_mismatched_rows_exit_2(tmp_path, runner):
                                   str(tmp_path / "a.csv.space.json"),
                                   "--out", str(tmp_path / "e.json")])
     assert result.exit_code == 2
+
+
+def _malformed_object_response(d):
+    (d / "data.csv").write_text('theta_1,theta_2,response\n0.1,0.2,1.5\n0.3,0.4,"{""a"":1}"\n')
+    (d / "data.csv.space.json").write_text('{"kind":"scalar","lo":-10,"hi":10}')
+    return ["fit", "--data", str(d / "data.csv"), "--estimator", "lc",
+            "--bandwidth", "0.5,0.5", "--query", "0,0", "--out", str(d / "o.csv")], "row 2"
+
+
+def _malformed_descriptor_field(d):
+    (d / "data.csv").write_text('theta_1,theta_2,response\n0.1,0.2,"[1,0]"\n')
+    (d / "data.csv.space.json").write_text('{"kind":"sphere","p":[1]}')
+    return ["fit", "--data", str(d / "data.csv"), "--estimator", "lc",
+            "--bandwidth", "0.5,0.5", "--query", "0,0", "--out", str(d / "o.csv")], "'p'"
+
+
+def _malformed_config_value(d):
+    path, _ = write_scalar_dataset(d, np.arange(6.0))
+    (d / "config.json").write_text('{"k":[2]}')
+    return ["cv", "--data", str(path), "--estimator", "lc", "--config",
+            str(d / "config.json"), "--out", str(d / "cv.json")], "'k'"
+
+
+def _missing_descriptor(d):
+    # an empty trips file ingests to a header-only dataset with no sidecar
+    (d / "trips.csv").write_text("hour,day,doy_len,origin,dest\n")
+    result = CliRunner().invoke(main, ["ingest-network", "--trips", str(d / "trips.csv"),
+                                       "--k", "2", "--out", str(d / "net.csv")])
+    assert result.exit_code == 0
+    return ["cv", "--data", str(d / "net.csv"), "--estimator", "lc",
+            "--out", str(d / "cv.json")], "net.csv.space.json"
+
+
+def _malformed_cv_bandwidth(d):
+    path, _ = write_scalar_dataset(d, np.ones(5))
+    (d / "cv.json").write_text('{"best_h": [{}, 0.5]}')
+    return ["fit", "--data", str(path), "--estimator", "lc", "--cv", str(d / "cv.json"),
+            "--query", "0,0", "--out", str(d / "o.csv")], "bandwidths must be numbers"
+
+
+@pytest.mark.parametrize("case", [_malformed_object_response, _malformed_descriptor_field,
+                                  _malformed_config_value, _missing_descriptor,
+                                  _malformed_cv_bandwidth])
+def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, case):
+    args, culprit = case(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert culprit in result.output
+    assert "Traceback" not in result.output
+    assert len(result.output.strip().splitlines()) == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=5)
+_JUNK = _JSON.map(json.dumps) | st.text(alphabet='0123456789.-+eEinfa,[]{}" x', max_size=8)
+_DATA_ROW = st.tuples(st.floats(-4.0, 4.0).map(repr), st.floats(-4.0, 4.0).map(repr),
+                      st.floats(-9.0, 9.0).map(json.dumps))
+_TRIP_ROW = st.tuples(st.integers(0, 23), st.integers(1, 365), st.just(365),
+                      st.integers(1, 3), st.integers(1, 3)).map(lambda r: [str(v) for v in r])
+
+
+@st.composite
+def _csv_rows(draw, valid_row):
+    """Well-formed rows, about half the time with one cell replaced by junk or one row cut."""
+    rows = [list(r) for r in draw(st.lists(valid_row, max_size=8))]
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+        if draw(st.booleans()):
+            rows[i][j] = draw(_JUNK)
+        else:
+            del rows[i][j:]
+    return rows
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=_csv_rows(_DATA_ROW), trips=_csv_rows(_TRIP_ROW),
+       sidecar=st.none() | st.just('{"kind":"scalar","lo":-10,"hi":10}') | _JUNK)
+def test_fuzzed_files_exit_0_or_2(rows, trips, sidecar):
+    """Fuzzed dataset, descriptor and trips files: every call exits 0 or 2, no traceback."""
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        _write_rows(d / "data.csv", ["theta_1", "theta_2", "response"], rows)
+        if sidecar is not None:
+            (d / "data.csv.space.json").write_text(sidecar)
+        _write_rows(d / "trips.csv", ["hour", "day", "doy_len", "origin", "dest"], trips)
+        calls = [["fit", "--data", str(d / "data.csv"), "--estimator", "lc",
+                  "--bandwidth", "0.5,0.5", "--query", "0,0", "--out", str(d / "o.csv")],
+                 ["cv", "--data", str(d / "data.csv"), "--estimator", "lc", "--grid1", "0.5",
+                  "--k", "2", "--out", str(d / "cv.json")],
+                 ["ingest-network", "--trips", str(d / "trips.csv"), "--k", "3",
+                  "--out", str(d / "net.csv")],
+                 ["cv", "--data", str(d / "net.csv"), "--estimator", "lc", "--grid1", "0.5",
+                  "--k", "2", "--out", str(d / "cv_net.json")]]
+        for args in calls:
+            if args[0] == "cv" and not Path(args[2]).exists():
+                continue  # ingest-network refused the trips
+            result = runner.invoke(main, args)
+            assert result.exit_code in (0, 2), (args[0], result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                (args[0], result.exception)
 
 
 def test_simulate_smoke_and_determinism(tmp_path, runner):

@@ -267,6 +267,61 @@ def test_laplacian_mean_invariants_and_descent():
         assert res.objective <= LAP.objective(stacked, np.asarray(w), init) + 1e-9
 
 
+def _laplacian_mean_one_row(space, stacked, weights, tol=1e-10, max_iter=2000):
+    """Reference: the projected gradient on one weight row, as a plain loop."""
+    k, (iu, ju) = space.n_nodes, np.triu_indices(space.n_nodes, 1)
+    target = np.tensordot(weights, stacked, axes=1) / weights.sum()
+    w = np.clip(-target[iu, ju], 0.0, space.c_w)
+    step = 1.0 / (4.0 * k)
+    lap = space.edge_weights_to_laplacian(w)
+    f = np.sum((lap - target) ** 2)
+    for it in range(1, max_iter + 1):
+        resid = lap - target
+        grad = 2.0 * (resid[iu, iu] + resid[ju, ju] - 2.0 * resid[iu, ju])
+        w_new = np.clip(w - step * grad, 0.0, space.c_w)
+        lap = space.edge_weights_to_laplacian(w_new)
+        f_new = np.sum((lap - target) ** 2)
+        if f - f_new < tol and np.max(np.abs(w_new - w)) < 1e-12:
+            return lap, it, True
+        w, f = w_new, f_new
+    return lap, max_iter, False
+
+
+@pytest.mark.parametrize("k", [3, 13])
+def test_laplacian_batch_rows_are_box_kkt_points_and_match_single_rows(k):
+    space = GraphLaplacianSpace(k, 4.0)
+    rng = np.random.default_rng(110 + k)
+    pts = space.stack([random_payload(space, rng) for _ in range(8)])
+    w = rng.uniform(-0.8, 1.0, size=(25, 8))
+    w[w.sum(axis=1) < 0.5] += 0.5
+    values, ok, iters, conv = space.frechet_mean_batch(pts, w)
+    assert ok.all() and conv.all()
+    iu, ju = np.triu_indices(k, 1)
+    target = np.einsum("qn,nij->qij", w, pts) / w.sum(axis=1)[:, None, None]
+    off = target[:, iu, ju]
+    assert np.any((off > 0.0) | (off < -space.c_w), axis=1).sum() >= 5  # outside the box
+    # gradient of ||L(w) - T||^2 in the edge weights: dL/dw_e = E_ii + E_jj - E_ij - E_ji
+    basis = np.zeros((iu.size, k, k))
+    e = np.arange(iu.size)
+    basis[e, iu, iu] = basis[e, ju, ju] = 1.0
+    basis[e, iu, ju] = basis[e, ju, iu] = -1.0
+    grad = 2.0 * np.einsum("qij,eij->qe", values - target, basis)
+    edges = -values[:, iu, ju]
+    at_zero, at_cap = edges == 0.0, edges == space.c_w
+    inside = ~(at_zero | at_cap)
+    assert at_zero.any() and at_cap.any() and inside.any()
+    tol = 1e-9
+    assert np.all(grad[at_zero] >= -tol)
+    assert np.all(grad[at_cap] <= tol)
+    assert np.all(np.abs(grad[inside]) <= tol)
+    for r in range(w.shape[0]):
+        alone, _, alone_iters, _ = space.frechet_mean_batch(pts, w[r:r + 1])
+        assert np.array_equal(alone[0], values[r])  # bit for bit, whatever the batch
+        assert alone_iters[0] == iters[r]
+        ref, ref_iters, ref_conv = _laplacian_mean_one_row(space, pts, w[r])
+        assert np.array_equal(ref, values[r]) and ref_iters == iters[r] and ref_conv
+
+
 def _oracle_gap_bound(space, weights, res):
     wsum = np.sum(np.abs(weights))
     if isinstance(space, ScalarSpace):
