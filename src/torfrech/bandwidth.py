@@ -9,6 +9,13 @@ is the squared response-space distance; a held-out point whose fit fails
 did not converge) contributes the squared space diameter, so degenerate
 bandwidths cannot win by attrition. Fold assignment is drawn once per search
 and shared across every candidate.
+
+A stage is scored fold by fold: the folds run on the thread pool
+(TORFRECH_THREADS), and each fold fits all of the stage's candidates in
+stacks of at most QUERY_CHUNK_CELLS (candidate x held-out query) rows x
+training observations, one weight pass and one Fréchet-mean solve per stack.
+Per-fold losses are added in fold order, so scores do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frechet import Dataset, QueryBatch, normalize_estimator
+from .frechet import QUERY_CHUNK_CELLS, Dataset, QueryBatch, normalize_estimator
 from .kernels import BandwidthVector, KernelFamily
 from .parallel import thread_map
 
@@ -144,30 +151,64 @@ def kfold_split(n: int, k: int, seed: int) -> np.ndarray:
 
 
 class _FoldContext:
-    """Training batch and held-out responses for one fold."""
+    """Training set and held-out rows for one fold.
+
+    The held-out queries are split into near-equal slices of at most
+    QUERY_CHUNK_CELLS query x training cells, one QueryBatch each.
+    """
 
     def __init__(self, data: Dataset, folds: np.ndarray, fold: int):
-        held = folds == fold
-        self.fold = fold
-        self.batch = QueryBatch(data.subset(~held), data.angles[held])
-        self.held_responses = data.responses[held]
+        held = np.nonzero(folds == fold)[0]
+        train = data.subset(folds != fold)
+        parts = -(-held.size * train.n // QUERY_CHUNK_CELLS)
+        step = -(-held.size // parts)
+        self.rows, self.cells = held.size, step * train.n  # cells: the widest slice
+        self.slices = [(QueryBatch(train, data.angles[rows]), data.responses[rows])
+                       for rows in (held[i:i + step] for i in range(0, held.size, step))]
+
+    def losses(self, space, hs, kernel, estimator, penalty):
+        """(loss, fitted rows) arrays over the (C, d) bandwidths hs: the loss is
+        the squared distances of the fitted held-out rows plus the penalty per
+        failed row.
+
+        The bandwidths are scored in stacks of at most QUERY_CHUNK_CELLS rows x
+        training cells, one fit call per stack and query slice.
+        """
+        step = max(1, QUERY_CHUNK_CELLS // self.cells)
+        loss, fitted = np.empty(len(hs)), np.empty(len(hs), dtype=int)
+        for i in range(0, len(hs), step):
+            stack = hs[i:i + step]
+            d2, ok = [], []
+            for batch, held in self.slices:
+                fits = batch.estimates(stack, kernel, estimator)
+                truth = np.concatenate([held] * len(stack))
+                d2.append(space.pairwise_dist2(truth, fits.values).reshape(len(stack), -1))
+                ok.append(fits.ok.reshape(len(stack), -1))
+            # each bandwidth's held-out rows in query order, summed as one array
+            d2, ok = np.hstack(d2), np.hstack(ok)
+            for c in range(len(stack)):
+                loss[i + c] = float(d2[c][ok[c]].sum()) + penalty * int((~ok[c]).sum())
+                fitted[i + c] = ok[c].sum()
+        return loss, fitted
 
 
-def _score_candidate(contexts, space, h_tuple, kernel, estimator) -> float:
-    h = BandwidthVector(np.array(h_tuple))
+def _score_candidate(contexts, space, h_tuples, kernel, estimator, threads=None) -> list:
+    """Mean held-out loss of each bandwidth; inf where no held-out fit succeeded.
+
+    The folds run on the worker pool, each scoring every bandwidth; the
+    per-fold losses are added in fold order, so the scores do not depend on
+    the worker count.
+    """
+    hs = np.array([BandwidthVector(np.array(h)).h for h in h_tuples])
     penalty = space.diameter() ** 2
-    total = 0.0
-    count = 0
-    successes = 0
-    for ctx in contexts:
-        fits = ctx.batch.estimates(h, kernel, estimator)
-        ok, d2 = fits.ok, space.pairwise_dist2(ctx.held_responses, fits.values)
-        total += float(d2[ok].sum()) + penalty * int((~ok).sum())
-        successes += int(ok.sum())
-        count += ok.size
-    if successes == 0:
-        return math.inf
-    return total / count
+    per_fold = thread_map(lambda ctx: ctx.losses(space, hs, kernel, estimator, penalty),
+                          contexts, threads)
+    total = np.zeros(len(hs))
+    for loss, _ in per_fold:
+        total += loss
+    fitted = sum(f for _, f in per_fold)
+    rows = sum(ctx.rows for ctx in contexts)
+    return [math.inf if f == 0 else float(t) / rows for t, f in zip(total, fitted)]
 
 
 def cv_score(data: Dataset, h: BandwidthVector, kernel: KernelFamily, folds,
@@ -178,8 +219,8 @@ def cv_score(data: Dataset, h: BandwidthVector, kernel: KernelFamily, folds,
     if folds.shape != (data.n,):
         raise ValueError(f"fold assignment must have length {data.n}")
     contexts = [_FoldContext(data, folds, f) for f in sorted(set(folds.tolist()))]
-    return _score_candidate(contexts, data.space, tuple(float(v) for v in h.h),
-                            kernel, estimator)
+    return _score_candidate(contexts, data.space, [tuple(float(v) for v in h.h)],
+                            kernel, estimator)[0]
 
 
 def _rank_key(entry):
@@ -202,19 +243,18 @@ def two_stage_search(data: Dataset, kernel: KernelFamily, grid: GridSpec, k: int
     contexts = [_FoldContext(data, folds, f) for f in range(k)]
     space = data.space
 
-    def score(h_tuple):
-        return _score_candidate(contexts, space, h_tuple, kernel, estimator)
+    def score(candidates):
+        return list(zip(candidates, _score_candidate(contexts, space, candidates, kernel,
+                                                     estimator, threads)))
 
-    stage1 = grid.stage1_candidates()
-    stage1_scores = list(zip(stage1, thread_map(score, stage1, threads)))
+    stage1_scores = score(grid.stage1_candidates())
     winner1 = min(stage1_scores, key=_rank_key)
     if math.isinf(winner1[1]):
         raise ValueError("every stage-one candidate failed on all folds; "
                          "the grid does not cover this dataset")
 
-    seen = set(stage1)
-    stage2 = [h for h in grid.stage2_candidates(winner1[0]) if h not in seen]
-    stage2_scores = list(zip(stage2, thread_map(score, stage2, threads)))
+    seen = {h for h, _ in stage1_scores}
+    stage2_scores = score([h for h in grid.stage2_candidates(winner1[0]) if h not in seen])
 
     best_h, best_score = min(stage1_scores + stage2_scores, key=_rank_key)
     return CVResult(best_h=BandwidthVector(np.array(best_h)), best_score=best_score,

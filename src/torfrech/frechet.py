@@ -17,9 +17,13 @@ which satisfy mean(W) = 1 and mean(W theta) = 0 identically. Both identities
 hold at floating-point accuracy because sigma is computed from the same
 solved vector b that enters the weights.
 
-Every fit runs through `QueryBatch`: cross-validation reuses one per fold,
-`fit_queries` fits any query set in memory-bounded chunks, and the single-query
-estimators are batches of one. Failed rows carry a cause; `fit_error` types it.
+Every fit runs through `QueryBatch`: cross-validation reuses one per fold
+(or per slice of a large fold) and fits a stack of bandwidths in one call,
+`fit_queries` fits any query set in memory-bounded chunks, and the
+single-query estimators are batches of one bandwidth and one query. For each
+query, mu1, mu2 and the projections b'theta of a whole bandwidth stack are
+matrix products against that query's shared tangent coordinates. Failed rows
+carry a cause; `fit_error` types it.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ CONDITION_LIMIT = 1e12
 _IDENTITY_TOL = 1e-10
 _SIGMA_GUARD = 100.0 * np.finfo(float).eps / _IDENTITY_TOL
 
-# Cap on query rows x observations per QueryBatch in fit_queries, which bounds
-# its geometry and solver arrays: 8 queries at n = 500 use no more peak memory
-# than one query at a time.
-QUERY_CHUNK_CELLS = 4096
+# Cap on weight rows x observations per fit call: fit_queries chunks queries
+# by it, and cross-validation chunks a fold's (bandwidth, query) rows by it. It
+# bounds the geometry, moment and solver arrays of one call.
+QUERY_CHUNK_CELLS = 16384
 
 LOCAL_CONSTANT = "lc"
 LOCAL_LINEAR = "ll"
@@ -196,12 +200,14 @@ def fit_error(cause: str, cond: float = float("nan"), sigma: float = float("nan"
 def _theta_gaps(data_angles: np.ndarray, query_angles: np.ndarray):
     """Tangent coordinates and cosine gaps of every observation at every query.
 
-    Returns (theta, gaps), both of shape (q, n, d).
+    Returns (theta, gaps), both of shape (q, n, d), as views of axis-major
+    (d, q, n) arrays: each circle's (q, n) slice is contiguous for the
+    per-axis kernel and moment passes.
     """
-    delta = data_angles[None, :, :] - query_angles[:, None, :]
+    delta = data_angles.T[:, None, :] - query_angles.T[:, :, None]
     theta = np.asarray(canonicalize(delta))
     gaps = np.clip(1.0 - np.cos(delta), 0.0, 2.0)
-    return theta, gaps
+    return theta.transpose(1, 2, 0), gaps.transpose(1, 2, 0)
 
 
 def _solve_refined(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -213,31 +219,33 @@ def _solve_refined(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _linear_weights(kvals, theta, mu0, mu1, mu2):
-    """The local linear weight rule for q rows of kernel values.
+    """The local linear weight rule for rows of kernel values.
 
-    Returns (weights, ok, cond, sigma); failed rows (cond > 1e12, or sigma
-    under its guard) get zero weights, and singular rows sigma NaN.
+    kvals holds C * q rows, candidate-major, over the q queries of theta
+    (q, n, d). Returns (weights, ok, cond, sigma); failed rows (cond > 1e12,
+    or sigma under its guard) get zero weights, and singular rows sigma NaN.
     """
     eigs = np.linalg.eigvalsh(mu2)
     lo, hi = eigs[:, 0], eigs[:, -1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = np.where(lo > 0.0, hi / lo, np.inf)
     ok = cond <= CONDITION_LIMIT
-    weights = np.zeros_like(kvals)
     sigma = np.full(len(mu0), np.nan)
-    if np.any(ok):
-        beta = _solve_refined(mu2[ok], mu1[ok])
-        sig = mu0[ok] - np.einsum("qd,qd->q", mu1[ok], beta)
-        proj = np.einsum("qnd,qd->qn", theta[ok], beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w_ok = kvals[ok] * (1.0 - proj) / sig[:, None]
-        noise = mu0[ok] + np.linalg.norm(mu1[ok], axis=1) * \
-            np.linalg.norm(beta, axis=1)
-        pos = sig > _SIGMA_GUARD * noise
-        w_ok[~pos] = 0.0
-        weights[ok] = w_ok
-        sigma[ok] = sig
-        ok[np.nonzero(ok)[0][~pos]] = False
+    if not np.any(ok):
+        return np.zeros_like(kvals), ok, cond, sigma
+    beta = np.zeros_like(mu1)
+    beta[ok] = _solve_refined(mu2[ok], mu1[ok])
+    sig = mu0 - np.einsum("rd,rd->r", mu1, beta)
+    # b'theta for every row: per query, the (C, d) betas times its (d, n) thetas
+    q, d = theta.shape[0], theta.shape[2]
+    proj = np.matmul(beta.reshape(-1, q, d).transpose(1, 0, 2), theta.transpose(0, 2, 1))
+    proj = proj.transpose(1, 0, 2).reshape(kvals.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = kvals * (1.0 - proj) / sig[:, None]
+    noise = mu0 + np.linalg.norm(mu1, axis=1) * np.linalg.norm(beta, axis=1)
+    sigma[ok] = sig[ok]
+    ok &= sig > _SIGMA_GUARD * noise
+    weights[~ok] = 0.0
     return weights, ok, cond, sigma
 
 
@@ -249,12 +257,23 @@ def _causes(local_constant: bool, ok, cond, solved=True, converged=True) -> np.n
                      [EMPTY, SINGULAR, SIGMA, WEIGHTS, NONCONVERGED], OK)
 
 
+def _bandwidth_stack(h, dim: int) -> np.ndarray:
+    """(C, d) bandwidths of a BandwidthVector (a stack of one) or a (C, d) array
+    of validated BandwidthVector entries."""
+    hs = h.h[None] if isinstance(h, BandwidthVector) else np.asarray(h, dtype=float)
+    if hs.ndim != 2 or hs.shape[1] != dim:
+        raise ValueError(f"bandwidth dimension {hs.shape[-1]} != data dimension {dim}")
+    return hs
+
+
 @dataclass
 class QueryBatch:
     """Precomputed geometry for a fixed (training set, query set) pair.
 
     Kernel values depend on the bandwidth only through the cosine gaps, so
-    bandwidth searches reuse one of these per fold.
+    bandwidth searches reuse one of these per fold. Every method takes one
+    BandwidthVector or a (C, d) stack of bandwidths and returns C * q rows,
+    candidate-major: row c * q + i belongs to bandwidth c and query i.
     """
 
     data: Dataset
@@ -269,23 +288,27 @@ class QueryBatch:
         self.query_angles = q
         self.theta, self.gaps = _theta_gaps(self.data.angles, q)
 
-    def moments(self, h: BandwidthVector, kernel: KernelFamily):
-        """Kernel values and the three local moments for every query row."""
-        if h.dim != self.data.dim:
-            raise ValueError(f"bandwidth dimension {h.dim} != data dimension {self.data.dim}")
-        n = self.data.n
-        kvals = gap_weights(kernel, self.gaps, h)
+    def moments(self, h, kernel: KernelFamily):
+        """Kernel values and the three local moments for every row."""
+        hs = _bandwidth_stack(h, self.data.dim)
+        (q, n, d), c = self.theta.shape, hs.shape[0]
+        kvals = gap_weights(kernel, self.gaps, hs).reshape(c * q, n)
         mu0 = kvals.mean(axis=1)
         # kernel mass that underflowed below the smallest normal float has lost
         # the precision the weight identities need; such a row counts as empty
         underflow = mu0 < np.finfo(float).tiny
         kvals[underflow] = 0.0
         mu0[underflow] = 0.0
-        mu1 = np.einsum("qn,qnd->qd", kvals, self.theta) / n
-        mu2 = np.einsum("qn,qnd,qne->qde", kvals, self.theta, self.theta) / n
+        # per query, (C, n) kernel rows times its (n, d) thetas give n mu1, and
+        # the (C * d, n) rows K theta_a times the same thetas give n mu2
+        by_query = kvals.reshape(c, q, n).transpose(1, 0, 2)
+        mu1 = np.matmul(by_query, self.theta).transpose(1, 0, 2).reshape(c * q, d) / n
+        k_theta = kvals.reshape(c, 1, q, n) * self.theta.transpose(2, 0, 1)[None]
+        mu2 = np.matmul(k_theta.transpose(2, 0, 1, 3).reshape(q, c * d, n), self.theta)
+        mu2 = mu2.reshape(q, c, d, d).transpose(1, 0, 2, 3).reshape(c * q, d, d) / n
         return kvals, mu0, mu1, mu2
 
-    def weight_rows(self, h: BandwidthVector, kernel: KernelFamily, estimator: str):
+    def weight_rows(self, h, kernel: KernelFamily, estimator: str):
         """(weights, ok, cond, sigma) rows; local constant rows are K_i / mu0,
         ok unless every kernel value is zero, with cond and sigma NaN."""
         kvals, mu0, mu1, mu2 = self.moments(h, kernel)
@@ -296,8 +319,8 @@ class QueryBatch:
         weights[ok] = kvals[ok] / mu0[ok, None]
         return weights, ok, np.full(ok.shape, np.nan), np.full(ok.shape, np.nan)
 
-    def estimates(self, h: BandwidthVector, kernel: KernelFamily, estimator: str):
-        """Fit every query row; failed rows carry their cause rather than raise."""
+    def estimates(self, h, kernel: KernelFamily, estimator: str):
+        """Fit every row; failed rows carry their cause rather than raise."""
         weights, ok, cond, sigma = self.weight_rows(h, kernel, estimator)
         # failed weight rows are zero, and the solver skips rows summing to <= 0
         values, solved, iterations, converged = self.data.space.frechet_mean_batch(

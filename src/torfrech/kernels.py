@@ -88,20 +88,30 @@ def toroidal_weight(kernel: KernelFamily, x: TorusPoint, z: TorusPoint,
     return float(np.prod(scalar_kernel(kernel, gaps / (h.h ** 2))))
 
 
-def gap_weights(kernel: KernelFamily, gaps: np.ndarray, h: BandwidthVector) -> np.ndarray:
-    """Vectorized toroidal kernel on precomputed per-circle gaps.
+def gap_weights(kernel: KernelFamily, gaps: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Vectorized toroidal kernel on precomputed per-circle gaps for a stack
+    of bandwidth vectors.
 
-    gaps has shape (..., d) with entries 1 - cos(angle difference); returns
-    the product kernel with shape (...,).
+    gaps has shape (..., d) with entries 1 - cos(angle difference) and hs
+    shape (C, d); returns the product kernel with shape (C, ...). The d
+    per-circle terms are added in axis order, one array pass per circle.
     """
-    scaled = gaps / (h.h ** 2)
-    if kernel is KernelFamily.VON_MISES:
-        return np.exp(-scaled.sum(axis=-1))
-    if kernel is KernelFamily.EXPONENTIAL:
-        return np.exp(-np.sqrt(scaled).sum(axis=-1))
+    hs = np.asarray(hs, dtype=float)
+    hsq = (hs ** 2).reshape(hs.shape + (1,) * (gaps.ndim - 1))
     if kernel is KernelFamily.UNIFORM:
-        return np.all(scaled <= 1.0, axis=-1).astype(float)
-    raise ValueError(f"unhandled kernel family {kernel}")  # pragma: no cover
+        out = np.ones((hs.shape[0],) + gaps.shape[:-1])
+        for axis in range(hs.shape[1]):
+            out *= gaps[..., axis] / hsq[:, axis] <= 1.0
+        return out
+    if kernel not in (KernelFamily.VON_MISES, KernelFamily.EXPONENTIAL):
+        raise ValueError(f"unhandled kernel family {kernel}")  # pragma: no cover
+    out = None
+    for axis in range(hs.shape[1]):
+        term = np.divide(gaps[..., axis], hsq[:, axis])
+        if kernel is KernelFamily.EXPONENTIAL:
+            np.sqrt(term, out=term)
+        out = term if out is None else np.add(out, term, out=out)
+    return np.exp(np.negative(out, out=out), out=out)
 
 
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(64)

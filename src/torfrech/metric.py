@@ -9,11 +9,14 @@ positive value:
 * scalars: closed-form weighted average;
 * spheres: Riemannian Newton (closed-form Hessian, eigenvalues in absolute
   value) with an Armijo line search along geodesics, from the best of a few
-  deterministic start points;
+  deterministic start points, scored one start at a time in the solver's
+  row x observation work arrays;
 * distributions on an interval (quantile grid): weighted average of the
   quantile vectors followed by projection onto the nondecreasing cone;
 * graph Laplacians: box-constrained projected gradient over the
-  off-diagonal edge weights, run on all weight rows of a batch at once.
+  off-diagonal edge weights, run on all weight rows of a batch at once; the
+  edge index is built on first use, so a descriptor alone costs no memory
+  quadratic in the node count.
 
 A brute-force grid oracle is provided for small spaces so the solvers can
 be checked against exhaustive minimization.
@@ -22,6 +25,7 @@ be checked against exhaustive minimization.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 
@@ -255,19 +259,24 @@ class SphereSpace(ResponseSpace):
         # Start from the best of the normalised extrinsic mean, the highest-weighted
         # samples and the antipodes of the most negatively weighted ones.
         top = min(_SPHERE_START_SAMPLES, n)
-        low, high = (np.argpartition(v, top - 1, axis=1)[:, :top] for v in (w, -w))
+        # copies, so the full (q, n) index arrays do not live through the solve
+        low, high = (np.argpartition(v, top - 1, axis=1)[:, :top].copy() for v in (w, -w))
         ext = w @ pts
         ext_norm = np.linalg.norm(ext, axis=1)
         cands = np.concatenate([(ext / np.maximum(ext_norm, 1e-300)[:, None])[:, None],
                                 pts[high], -pts[low]], axis=1)
-        cand_f = np.einsum("qn,qcn->qc", w, np.arccos(np.clip(cands @ pts.T, -1.0, 1.0)) ** 2)
-        cand_f[ext_norm < 1e-12, 0] = np.inf
-        cand_f[:, 1 + top:][np.take_along_axis(w, low, axis=1) >= 0.0] = np.inf
-        y = cands[np.arange(q), np.argmin(cand_f, axis=1)]
         # Row x observation work arrays, reused through views of their leading rows:
         # no step allocates anything of size n (no allocator churn, no page faults).
         s_buf, d_buf, t_buf, a_buf, w_buf = (np.empty((q, n)) for _ in range(5))
         near_buf, tip_buf = (np.empty((q, n), dtype=bool) for _ in range(2))
+        cand_f = np.empty(cands.shape[:2])
+        for j in range(cands.shape[1]):  # one start column at a time, in the work arrays
+            d = np.arccos(np.clip(np.matmul(cands[:, j], pts.T, out=s_buf), -1.0, 1.0,
+                                  out=s_buf), out=d_buf)
+            cand_f[:, j] = np.einsum("qn,qn->q", w, np.multiply(d, d, out=d))
+        cand_f[ext_norm < 1e-12, 0] = np.inf
+        cand_f[:, 1 + top:][np.take_along_axis(w, low, axis=1) >= 0.0] = np.inf
+        y = cands[np.arange(q), np.argmin(cand_f, axis=1)]
         f, slope, t_step, step = np.full(q, np.inf), np.zeros(q), np.ones(q), np.zeros((q, m))
         active, converged, blind = np.ones(q, bool), np.zeros(q, bool), np.zeros(q, bool)
         iters = np.zeros(q, dtype=int)
@@ -423,7 +432,12 @@ class GraphLaplacianSpace(ResponseSpace):
             raise ValueError("edge-weight cap must be finite and positive")
         self.n_nodes = int(n_nodes)
         self.c_w = float(c_w)
-        self._iu = np.triu_indices(self.n_nodes, 1)
+
+    @functools.cached_property
+    def _iu(self):
+        """Upper-triangle edge index, built on first use: it holds k(k - 1)
+        entries, and a descriptor alone must not cost memory quadratic in k."""
+        return np.triu_indices(self.n_nodes, 1)
 
     def validate(self, payload):
         arr = _float_array(payload)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from torfrech import bandwidth
 from torfrech.bandwidth import (
     CVResult,
     GridSpec,
@@ -10,9 +12,9 @@ from torfrech.bandwidth import (
     kfold_split,
     two_stage_search,
 )
-from torfrech.frechet import Dataset
+from torfrech.frechet import Dataset, QueryBatch
 from torfrech.kernels import BandwidthVector, KernelFamily
-from torfrech.metric import ScalarSpace
+from torfrech.metric import GraphLaplacianSpace, ScalarSpace, SphereSpace, WassersteinSpace
 
 VM = KernelFamily.VON_MISES
 SCALAR = ScalarSpace(-50.0, 50.0)
@@ -175,3 +177,95 @@ def test_cv_score_rejects_bandwidth_of_wrong_dimension(h):
     with pytest.raises(ValueError,
                        match=f"bandwidth dimension {len(h)} != data dimension 2"):
         cv_score(data, BandwidthVector(h), VM, folds, "ll")
+
+
+def sphere_data(rng, n):
+    """S^2 responses near a smooth surface of two angles."""
+    angles = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    raw = np.stack([np.cos(angles[:, 0]), np.sin(angles[:, 1]),
+                    np.sin(angles[:, 0]) * np.cos(angles[:, 1])], axis=1)
+    raw += 0.1 * rng.standard_normal((n, 3))
+    return Dataset(SphereSpace(2), angles, raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+
+def space_data(kind, rng, n=24):
+    angles = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    wave = 0.5 + 0.3 * np.sin(angles[:, 0]) * np.cos(angles[:, 1])
+    if kind == "scalar":
+        return Dataset(SCALAR, angles, wave + 0.1 * rng.normal(size=n))
+    if kind == "sphere":
+        return sphere_data(rng, n)
+    if kind == "wasserstein":
+        levels = (np.arange(6) + 0.5) / 6
+        rows = np.clip(wave[:, None] + 0.2 * (levels - 0.5)[None, :], 0.0, 1.0)
+        return Dataset(WassersteinSpace(6, 0.0, 1.0), angles, rows)
+    space = GraphLaplacianSpace(3, 2.0)
+    edges = np.clip(np.stack([2 * wave, 2 - 2 * wave, wave], axis=1)
+                    + 0.2 * rng.normal(size=(n, 3)), 0.0, 2.0)
+    return Dataset(space, angles, space.edge_weights_to_laplacian(edges))
+
+
+def _same_score(stacked, single):
+    if math.isinf(stacked) or math.isinf(single):
+        return stacked == single
+    return abs(stacked - single) <= 1e-12 * abs(single)
+
+
+@pytest.mark.parametrize("cap", [bandwidth.QUERY_CHUNK_CELLS, 40])
+@pytest.mark.parametrize("kernel", list(KernelFamily))
+@pytest.mark.parametrize("kind", ["scalar", "sphere", "wasserstein", "laplacian"])
+def test_stacked_search_matches_single_candidate_scores(kind, kernel, cap, monkeypatch):
+    # cap 40 puts a fold of 6 held-out rows x 18 training rows in three query
+    # slices of one bandwidth each; the default cap stacks every bandwidth
+    monkeypatch.setattr(bandwidth, "QUERY_CHUNK_CELLS", cap)
+    data = space_data(kind, np.random.default_rng(48))
+    grid = GridSpec(((0.05, 0.4, 1.2), (0.3, 0.9)), stage2_halfwidth=1)
+    for estimator in ("lc", "ll"):
+        res = two_stage_search(data, kernel, grid, k=4, seed=3, estimator=estimator)
+        folds = kfold_split(data.n, 4, seed=3)
+        for h, score in res.stage1_scores + res.stage2_scores:
+            single = cv_score(data, BandwidthVector(h), kernel, folds, estimator)
+            assert _same_score(score, single), (h, estimator, score, single)
+        if kernel is KernelFamily.UNIFORM:
+            assert any(math.isinf(s) for _, s in res.stage1_scores)
+
+
+@pytest.mark.parametrize("kernel", list(KernelFamily))
+def test_stacked_weight_rows_match_per_bandwidth_rows(kernel):
+    rng = np.random.default_rng(49)
+    data = scalar_data(rng, 30, d=2)
+    batch = QueryBatch(data, rng.uniform(-math.pi, math.pi, size=(7, 2)))
+    hs = rng.uniform(0.1, 1.5, size=(9, 2))
+    for estimator in ("lc", "ll"):
+        stacked = batch.weight_rows(hs, kernel, estimator)
+        for c, h in enumerate(hs):
+            single = batch.weight_rows(BandwidthVector(h), kernel, estimator)
+            rows = slice(7 * c, 7 * (c + 1))
+            assert np.array_equal(stacked[1][rows], single[1])
+            if estimator == "lc":
+                assert np.array_equal(stacked[0][rows], single[0])
+            else:
+                scale = max(np.max(np.abs(single[0])), 1.0)
+                assert np.max(np.abs(stacked[0][rows] - single[0])) <= 1e-12 * scale
+
+
+def _stage_peak(contexts, space, candidates):
+    tracemalloc.start()
+    try:
+        bandwidth._score_candidate(contexts, space, candidates, VM, "lc", threads=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage_memory_is_flat_in_the_number_of_candidates():
+    """Bandwidths are scored in stacks of at most QUERY_CHUNK_CELLS cells, so
+    a stage of 400 candidates peaks no higher than one of 25."""
+    data = sphere_data(np.random.default_rng(50), 200)
+    folds = kfold_split(data.n, 5, seed=0)
+    contexts = [bandwidth._FoldContext(data, folds, f) for f in range(5)]
+    axis = np.linspace(0.3, 1.2, 20)
+    many = [(a, b) for a in axis for b in axis]
+    few = [(a, b) for a in axis[::4] for b in axis[::4]]
+    assert _stage_peak(contexts, data.space, many) <= \
+        1.25 * _stage_peak(contexts, data.space, few)

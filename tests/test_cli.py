@@ -310,6 +310,21 @@ def _malformed_cv_bandwidth(d):
             "--query", "0,0", "--out", str(d / "o.csv")], "bandwidths must be numbers"
 
 
+def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner):
+    # the sidecar names k = 2000 nodes; the payloads are 3 x 3 Laplacians
+    rows = ["theta_1,theta_2,response"]
+    lap = '"[2,-1,-1,-1,2,-1,-1,-1,2]"'
+    rows += [f"{0.1 * i},{-0.2 * i},{lap}" for i in range(6)]
+    (tmp_path / "net.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "net.csv.space.json").write_text(
+        '{"kind":"graph_laplacian","k":2000,"c_w":1}')
+    result = runner.invoke(main, ["cv", "--data", str(tmp_path / "net.csv"),
+                                  "--estimator", "lc", "--out", str(tmp_path / "cv.json")])
+    assert result.exit_code == 2, result.output
+    assert "2000x2000" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("case", [_malformed_object_response, _malformed_descriptor_field,
                                   _malformed_config_value, _missing_descriptor,
                                   _malformed_cv_bandwidth])

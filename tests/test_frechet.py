@@ -19,6 +19,7 @@ from torfrech.frechet import (
     LOCAL_CONSTANT,
     LOCAL_LINEAR,
     QueryBatch,
+    fit_queries,
     local_constant_estimate,
     local_linear_estimate,
     local_linear_weights,
@@ -279,6 +280,32 @@ def test_shift_equivariance_of_estimates():
                 continue
             assert np.allclose(fit0.weights, fit1.weights, atol=1e-10)
             assert fit0.estimate == pytest.approx(fit1.estimate, abs=1e-9)
+
+
+def _shift_problem(kind):
+    rng = np.random.default_rng(30)
+    angles = rng.uniform(-math.pi, math.pi, size=(40, 2))
+    queries = rng.uniform(-math.pi, math.pi, size=(6, 2))
+    if kind == "scalar":
+        return Dataset(SCALAR, angles, np.sin(angles[:, 0]) + rng.normal(size=40)), queries
+    raw = np.stack([np.cos(angles[:, 0]), np.sin(angles[:, 1]), np.ones(40)], axis=1)
+    raw += 0.2 * rng.standard_normal((40, 3))
+    return Dataset(SphereSpace(2), angles, raw / np.linalg.norm(raw, axis=1,
+                                                                keepdims=True)), queries
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["scalar", "sphere"]), st.sampled_from([LOCAL_CONSTANT, LOCAL_LINEAR]),
+       arrays(float, 2, elements=st.floats(-20.0, 20.0)))
+def test_fits_are_shift_equivariant(kind, estimator, shift):
+    """Shifting predictors and queries by the same angles leaves every fit unchanged."""
+    data, queries = _shift_problem(kind)
+    h = BandwidthVector([0.6, 0.8])
+    base = fit_queries(data, queries, h, VM, estimator)
+    moved = fit_queries(Dataset(data.space, data.angles + shift, data.responses),
+                        queries + shift, h, VM, estimator)
+    assert base.ok.all() and moved.ok.all()
+    assert np.max(np.abs(moved.values - base.values)) <= 1e-9
 
 
 def test_determinism_bitwise_weights():

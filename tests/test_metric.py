@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -388,3 +389,24 @@ def test_space_from_json_errors():
         space_from_json({"kind": "sphere"})
     with pytest.raises(ValueError):
         space_from_json([1, 2])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([SCALAR, SPHERE, WASS, LAP]), st.integers(0, 2 ** 32 - 1))
+def test_payload_json_round_trip_is_bitwise(space, seed):
+    p = space.validate(random_payload(space, np.random.default_rng(seed)))
+    back = space.payload_from_json(json.loads(json.dumps(space.payload_to_json(p))))
+    assert np.asarray(back).dtype == np.asarray(p).dtype
+    assert np.array_equal(back, p)
+    assert np.asarray(back).tobytes() == np.asarray(p).tobytes()
+
+
+def test_laplacian_descriptor_costs_no_memory_quadratic_in_k():
+    tracemalloc.start()
+    try:
+        space = space_from_json({"kind": "graph_laplacian", "k": 2000, "c_w": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.n_nodes == 2000
+    assert peak < 2 ** 20
