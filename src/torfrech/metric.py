@@ -6,17 +6,17 @@ negative (the local linear estimator produces signed weights), so each
 solver is written to stay well-defined as long as the weights sum to a
 positive value:
 
-* scalars: closed-form weighted average;
+* scalars: the weighted average (`_weighted_average`, shared by the flat spaces);
 * spheres: Riemannian Newton (closed-form Hessian, eigenvalues in absolute
   value) with an Armijo line search along geodesics, from the best of a few
   deterministic start points, scored one start at a time in the solver's
   row x observation work arrays;
-* distributions on an interval (quantile grid): weighted average of the
-  quantile vectors followed by projection onto the nondecreasing cone;
-* graph Laplacians: box-constrained projected gradient over the
-  off-diagonal edge weights, run on all weight rows of a batch at once; the
-  edge index is built on first use, so a descriptor alone costs no memory
-  quadratic in the node count.
+* distributions on an interval (quantile grid): the weighted average of the
+  quantile vectors, projected onto the nondecreasing cone;
+* graph Laplacians: the weighted average of the edge-weight vectors, projected
+  onto the edge-weight box (Frobenius metric) by a projected gradient run on
+  all weight rows of a batch at once; the edge index is built on first use, so
+  a descriptor alone costs no memory quadratic in the node count.
 
 A brute-force grid oracle is provided for small spaces so the solvers can
 be checked against exhaustive minimization.
@@ -40,10 +40,9 @@ from .errors import (
 
 _SPHERE_START_SAMPLES = 3  # top- and bottom-weighted samples tried as starts
 _SPHERE_CURVATURE_FLOOR = 1e-3  # least |Hessian eigenvalue|, relative to sum |w|
-_SPHERE_TOL = 1e-10  # Newton steps predicting a smaller decrease skip the line search
+_SPHERE_TOL = 1e-12  # per unit of sum |w|: Newton steps predicting less skip the line search
 _SPHERE_HALVINGS = 30  # line-search halvings before a row counts as stalled
 _SPHERE_MAX_ITER = 500
-_LAPLACIAN_TOL = 1e-10
 _LAPLACIAN_MAX_ITER = 2000
 
 
@@ -154,6 +153,13 @@ def weighted_frechet_mean(space: ResponseSpace, points, weights) -> MeanResult:
     return MeanResult(value=value, objective=obj, iterations=int(iters[0]), converged=True)
 
 
+def _weighted_average(values: np.ndarray, weight_rows: np.ndarray) -> np.ndarray:
+    """(q, m) averages of the rows of values (n, m), one per weight row (q, n): a product
+    per row on C-ordered values, so a row's bits depend on its numbers alone."""
+    sums = weight_rows[:, None, :] @ np.ascontiguousarray(values)
+    return sums[:, 0] / weight_rows.sum(axis=1)[:, None]
+
+
 def distance(space: ResponseSpace, y1, y2) -> float:
     return space.distance(y1, y2)
 
@@ -209,10 +215,7 @@ class ScalarSpace(ResponseSpace):
         return (np.asarray(a) - np.asarray(b)) ** 2
 
     def _mean_batch(self, stacked, weight_rows):
-        # einsum keeps one summation order for numerator and denominator, so
-        # constant data is reproduced exactly
-        totals = np.einsum("qn->q", weight_rows)
-        vals = np.einsum("qn,n->q", weight_rows, stacked) / totals
+        vals = _weighted_average(stacked[:, None], weight_rows)[:, 0]
         q = weight_rows.shape[0]
         return vals, np.zeros(q, dtype=int), np.ones(q, dtype=bool)
 
@@ -335,9 +338,9 @@ class SphereSpace(ResponseSpace):
             coef /= np.maximum(np.abs(lam), _SPHERE_CURVATURE_FLOOR * scale[rows, None])
             v = -np.einsum("rmk,rk->rm", vec, coef)
             v -= np.einsum("rm,rm->r", v, yr)[:, None] * yr
-            # a step predicted to lower f by less than the tolerance is taken whole:
-            # a line search there would only measure rounding
-            blind[rows] = -0.5 * np.einsum("rm,rm->r", g, v) < _SPHERE_TOL
+            # a step predicted to lower f (which grows like sum |w|) by less than the
+            # scaled tolerance is taken whole: a line search would only measure rounding
+            blind[rows] = -0.5 * np.einsum("rm,rm->r", g, v) < _SPHERE_TOL * scale[rows]
             # Off a cone tip only -g is sure to descend; it gets the Newton length,
             # and no step exceeds a quarter turn.
             v_norm = np.sqrt(np.einsum("rm,rm->r", v, v))
@@ -397,8 +400,7 @@ class WassersteinSpace(ResponseSpace):
         return np.mean(diff * diff, axis=1)
 
     def _mean_batch(self, stacked, weight_rows):
-        totals = np.einsum("qn->q", weight_rows)
-        avg = np.einsum("qn,ng->qg", weight_rows, stacked) / totals[:, None]
+        avg = _weighted_average(stacked, weight_rows)
         # pool adjacent violators returns a nondecreasing row bit for bit, so
         # only rows that decrease somewhere (signed weights) need it
         for r in np.nonzero(np.any(np.diff(avg, axis=1) < 0.0, axis=1))[0]:
@@ -418,9 +420,10 @@ class GraphLaplacianSpace(ResponseSpace):
     """Graph Laplacians of undirected graphs on a fixed node set.
 
     Valid payloads are symmetric with zero row sums and off-diagonal entries
-    in [-C_w, 0], metrized by the Frobenius distance. Means are solved over
-    the off-diagonal edge weights with a box-constrained projected gradient run
-    on all weight rows at once; each row stops on its own rule and leaves the batch.
+    in [-C_w, 0], metrized by the Frobenius distance. Means are solved in edge
+    coordinates by a box-constrained projected gradient from the weighted average
+    t of the edge weights, run on all weight rows at once; each row stops on its
+    own rule, and a row with t in the box returns L(t) exactly.
     """
 
     kind = "graph_laplacian"
@@ -474,33 +477,29 @@ class GraphLaplacianSpace(ResponseSpace):
         return lap
 
     def _mean_batch(self, stacked, weight_rows):
-        (q, n), k, (iu, ju) = weight_rows.shape, self.n_nodes, self._iu
-        # a vector-matrix product per row, so a row's bits do not depend on its batch
-        target = (weight_rows[:, None, :] @ stacked.reshape(n, k * k)).reshape(q, k, k)
-        target /= weight_rows.sum(axis=1)[:, None, None]
-        w = np.clip(-target[:, iu, ju], 0.0, self.c_w)
-        step = 1.0 / (4.0 * k)
-        lap = self.edge_weights_to_laplacian(w)
-        f = np.sum((lap - target) ** 2, axis=(1, 2))
-        values, rows = np.empty_like(lap), np.arange(q)
+        k, (iu, ju) = self.n_nodes, self._iu
+        nodes = np.arange(k)  # unsigned incidence: u @ inc holds u's node degrees
+        inc = ((iu[:, None] == nodes) | (ju[:, None] == nodes)).astype(float)
+        t = _weighted_average(-stacked[:, iu, ju], weight_rows)
+        w, step, q = np.clip(t, 0.0, self.c_w), 1.0 / (4.0 * k), t.shape[0]
+        edges, rows = np.empty_like(w), np.arange(q)
         iters, converged = np.full(q, _LAPLACIAN_MAX_ITER), np.zeros(q, dtype=bool)
         for it in range(1, _LAPLACIAN_MAX_ITER + 1):
-            resid = lap - target
-            diag = np.diagonal(resid, axis1=1, axis2=2)
-            grad = 2.0 * (diag[:, iu] + diag[:, ju] - 2.0 * resid[:, iu, ju])
-            w_new = np.clip(w - step * grad, 0.0, self.c_w)
-            lap = self.edge_weights_to_laplacian(w_new)
-            f_new = np.sum((lap - target) ** 2, axis=(1, 2))
-            done = (f - f_new < _LAPLACIAN_TOL) & (np.max(np.abs(w_new - w), axis=1) < 1e-12)
-            w, f = w_new, f_new
+            # ||L(w) - L(t)||^2 = 2 |u|^2 + |u @ inc|^2 with u = w - t; the degrees
+            # are a product per row, so a row's bits do not depend on its batch
+            u = w - t
+            deg = (u[:, None, :] @ inc)[:, 0]
+            w_new = np.clip(w - step * 2.0 * (2.0 * u + deg[:, iu] + deg[:, ju]), 0.0, self.c_w)
+            done = np.max(np.abs(w_new - w), axis=1) < 1e-12
+            w = w_new
             if done.any():
                 stop = rows[done]
-                values[stop], iters[stop], converged[stop] = lap[done], it, True
-                rows, w, f, lap, target = (a[~done] for a in (rows, w, f, lap, target))
+                edges[stop], iters[stop], converged[stop] = w[done], it, True
+                rows, w, t = (a[~done] for a in (rows, w, t))
                 if rows.size == 0:
                     break
-        values[rows] = lap
-        return values, iters, converged
+        edges[rows] = w
+        return self.edge_weights_to_laplacian(edges), iters, converged
 
     def payload_to_json(self, payload):
         return [float(v) for v in self.validate(payload).ravel()]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from torfrech.metric import (
     frechet_mean_oracle,
     isotonic_projection,
 )
+from torfrech.simulate import quadrature_grid
 from torfrech.torus import TorusPoint
 
 VM = KernelFamily.VON_MISES
@@ -348,12 +350,46 @@ def test_wasserstein_means_equal_always_projected_means():
     for estimator in (LOCAL_CONSTANT, LOCAL_LINEAR):
         weights, ok = batch.weight_rows(BandwidthVector([0.3, 0.3]), VM, estimator)[:2]
         weights = weights[ok]
-        avg = np.einsum("qn,ng->qg", weights, data.responses) / \
-            np.einsum("qn->q", weights)[:, None]
+        avg = (weights[:, None, :] @ data.responses)[:, 0] / weights.sum(axis=1)[:, None]
         decreasing += int(np.any(np.diff(avg, axis=1) < 0.0, axis=1).sum())
         expected = np.clip([isotonic_projection(row) for row in avg], 0.0, 1.0)
         assert np.array_equal(space.frechet_mean_batch(data.responses, weights)[0], expected)
     assert decreasing > 0
+
+
+def test_fit_memory_is_flat_in_the_number_of_queries():
+    """fit_queries works in QueryBatch chunks of at most QUERY_CHUNK_CELLS
+    cells, so 300 queries over 20,000 samples peak within 1.5x of 30 queries."""
+    rng = np.random.default_rng(61)
+    data = scalar_dataset(rng, 20_000, 2)
+    queries = rng.uniform(-math.pi, math.pi, size=(300, 2))
+
+    def peak(q):
+        tracemalloc.start()
+        try:
+            fits = fit_queries(data, queries[:q], BandwidthVector([0.5, 0.5]), VM, LOCAL_LINEAR)
+            return tracemalloc.get_traced_memory()[1], fits
+        finally:
+            tracemalloc.stop()
+
+    (few, fits_few), (many, fits_many) = peak(30), peak(300)
+    assert fits_few.ok.all() and fits_many.ok.all()
+    assert many <= 1.5 * few
+
+
+def test_sphere_rows_converge_at_large_n():
+    """Objectives grow like n, so a Newton step skips the line search below a
+    predicted decrease relative to sum |w|: with an absolute threshold these
+    rows of an n = 10^5 noise fit stalled and came back nonconverged."""
+    rng = np.random.default_rng(0)
+    n = 100_000
+    angles = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    responses = rng.standard_normal((n, 3))
+    data = Dataset(SphereSpace(2), angles, responses / np.linalg.norm(responses, axis=1,
+                                                                       keepdims=True))
+    queries = quadrature_grid(30)[0][[513, 568, 766]]
+    fits = fit_queries(data, queries, BandwidthVector([0.5, 0.5]), VM, LOCAL_LINEAR)
+    assert fits.ok.all() and fits.iterations.max() <= 30
 
 
 CAUSE_ERRORS = {

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from torfrech.errors import DegenerateWeightsError, PayloadError, UnsupportedOracleError
 from torfrech.metric import (
+    _weighted_average,
     GraphLaplacianSpace,
     ScalarSpace,
     SphereSpace,
@@ -320,7 +321,56 @@ def test_laplacian_batch_rows_are_box_kkt_points_and_match_single_rows(k):
         assert np.array_equal(alone[0], values[r])  # bit for bit, whatever the batch
         assert alone_iters[0] == iters[r]
         ref, ref_iters, ref_conv = _laplacian_mean_one_row(space, pts, w[r])
-        assert np.array_equal(ref, values[r]) and ref_iters == iters[r] and ref_conv
+        assert np.max(np.abs(ref - values[r])) <= 1e-12 and ref_iters == iters[r] and ref_conv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 13]), st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
+       st.floats(0.0, 1.5))
+def test_laplacian_mean_rows_are_converged_box_kkt_points(k, seed, n, spread):
+    """Signed weights: every row converges inside the box at a box-KKT point and
+    equals its batch-of-one solve bit for bit; a row whose weighted average t of
+    the edge weights lies in the box returns L(t) exactly."""
+    space = GraphLaplacianSpace(k, 2.0)
+    rng = np.random.default_rng(seed)
+    edges = rng.uniform(0.0, space.c_w, size=(n, k * (k - 1) // 2))
+    edges[rng.random(edges.shape) < 0.2] = 0.0
+    edges[rng.random(edges.shape) < 0.1] = space.c_w
+    pts = space.edge_weights_to_laplacian(edges)
+    w = rng.uniform(-spread, 1.0, size=(6, n))
+    w[0] = np.abs(w[0]) + 0.01  # a convex combination: t in the box up to rounding
+    w[:, 0] += 0.1 - np.minimum(w.sum(axis=1), 0.1)
+    values, ok, iters, conv = space.frechet_mean_batch(pts, w)
+    assert ok.all() and conv.all()
+    iu, ju = np.triu_indices(k, 1)
+    sol = -values[:, iu, ju]
+    assert np.all((sol >= 0.0) & (sol <= space.c_w))
+    t = _weighted_average(edges, w)
+    # gradient of ||L(s) - L(t)||^2 in s: 2 (2 u_ij + deg_i + deg_j), u = s - t
+    deg = np.diagonal(space.edge_weights_to_laplacian(sol - t), axis1=1, axis2=2)
+    grad = 2.0 * (2.0 * (sol - t) + deg[:, iu] + deg[:, ju])
+    at_zero, at_cap = sol == 0.0, sol == space.c_w
+    inside = ~(at_zero | at_cap)
+    assert np.all(grad[at_zero] >= -1e-9) and np.all(grad[at_cap] <= 1e-9)
+    assert np.all(np.abs(grad[inside]) <= 1e-9)
+    in_box = np.all((t >= 0.0) & (t <= space.c_w), axis=1)
+    assert np.array_equal(values[in_box], space.edge_weights_to_laplacian(t[in_box]))
+    for r in range(w.shape[0]):
+        alone, _, alone_iters, _ = space.frechet_mean_batch(pts, w[r:r + 1])
+        assert np.array_equal(alone[0], values[r]) and alone_iters[0] == iters[r]
+
+
+@pytest.mark.parametrize("space", [SCALAR, WASS])
+def test_flat_space_rows_equal_their_batch_of_one_means(space):
+    """A batched scalar or Wasserstein mean is the batch-of-one mean of each
+    row bit for bit, signed weights (and so projected rows) included."""
+    rng = np.random.default_rng(112)
+    pts = space.stack([random_payload(space, rng) for _ in range(50)])
+    w = rng.uniform(-0.6, 1.0, size=(40, 50))
+    values, ok, _, _ = space.frechet_mean_batch(pts, w)
+    assert ok.all()
+    for r in range(w.shape[0]):
+        assert np.array_equal(space.frechet_mean_batch(pts, w[r:r + 1])[0][0], values[r])
 
 
 def _oracle_gap_bound(space, weights, res):
