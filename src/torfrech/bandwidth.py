@@ -11,22 +11,22 @@ bandwidths cannot win by attrition. Fold assignment is drawn once per search
 and shared across every candidate.
 
 A stage is scored fold by fold: the folds run on the thread pool
-(TORFRECH_THREADS), and each fold fits all of the stage's candidates in
-stacks of at most QUERY_CHUNK_CELLS (candidate x held-out query) rows x
-training observations, one weight pass and one Fréchet-mean solve per stack.
-Per-fold losses are added in fold order, so scores do not depend on the
-worker count.
+(TORFRECH_THREADS), and each fold fits all of the stage's candidates through
+`frechet.fit_chunks`, one weight pass and one Fréchet-mean solve per chunk.
+A fold keeps only its training set and held-out rows between chunks, so
+memory stays flat in n and in the number of candidates. Per-fold losses are
+added in fold order, so scores do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .frechet import QUERY_CHUNK_CELLS, Dataset, QueryBatch, normalize_estimator
+from .frechet import Dataset, fit_chunks, normalize_estimator
 from .kernels import BandwidthVector, KernelFamily
 from .parallel import thread_map
 
@@ -150,64 +150,47 @@ def kfold_split(n: int, k: int, seed: int) -> np.ndarray:
     return folds
 
 
-class _FoldContext:
-    """Training set and held-out rows for one fold.
-
-    The held-out queries are split into near-equal slices of at most
-    QUERY_CHUNK_CELLS query x training cells, one QueryBatch each.
-    """
-
-    def __init__(self, data: Dataset, folds: np.ndarray, fold: int):
-        held = np.nonzero(folds == fold)[0]
-        train = data.subset(folds != fold)
-        parts = -(-held.size * train.n // QUERY_CHUNK_CELLS)
-        step = -(-held.size // parts)
-        self.rows, self.cells = held.size, step * train.n  # cells: the widest slice
-        self.slices = [(QueryBatch(train, data.angles[rows]), data.responses[rows])
-                       for rows in (held[i:i + step] for i in range(0, held.size, step))]
-
-    def losses(self, space, hs, kernel, estimator, penalty):
-        """(loss, fitted rows) arrays over the (C, d) bandwidths hs: the loss is
-        the squared distances of the fitted held-out rows plus the penalty per
-        failed row.
-
-        The bandwidths are scored in stacks of at most QUERY_CHUNK_CELLS rows x
-        training cells, one fit call per stack and query slice.
-        """
-        step = max(1, QUERY_CHUNK_CELLS // self.cells)
-        loss, fitted = np.empty(len(hs)), np.empty(len(hs), dtype=int)
-        for i in range(0, len(hs), step):
-            stack = hs[i:i + step]
-            d2, ok = [], []
-            for batch, held in self.slices:
-                fits = batch.estimates(stack, kernel, estimator)
-                truth = np.concatenate([held] * len(stack))
-                d2.append(space.pairwise_dist2(truth, fits.values).reshape(len(stack), -1))
-                ok.append(fits.ok.reshape(len(stack), -1))
-            # each bandwidth's held-out rows in query order, summed as one array
-            d2, ok = np.hstack(d2), np.hstack(ok)
-            for c in range(len(stack)):
-                loss[i + c] = float(d2[c][ok[c]].sum()) + penalty * int((~ok[c]).sum())
-                fitted[i + c] = ok[c].sum()
-        return loss, fitted
+def _split(data: Dataset, folds: np.ndarray) -> list:
+    """(training set, held-out angles, held-out responses) of each fold id."""
+    return [(data.subset(folds != f), data.angles[folds == f], data.responses[folds == f])
+            for f in sorted(set(folds.tolist()))]
 
 
-def _score_candidate(contexts, space, h_tuples, kernel, estimator, threads=None) -> list:
+def _fold_losses(fold, space, hs, kernel, estimator, penalty):
+    """(loss, fitted rows) arrays over the (C, d) bandwidths hs on one fold: the
+    loss is the squared distances of the fitted held-out rows plus the penalty
+    per failed row."""
+    train, angles, held = fold
+    d2 = np.empty((len(hs), len(held)))
+    ok = np.empty(d2.shape, dtype=bool)
+    for cands, rows, fits in fit_chunks(train, angles, hs, kernel, estimator):
+        size = cands.stop - cands.start
+        truth = np.concatenate([held[rows]] * size)
+        d2[cands, rows] = space.pairwise_dist2(truth, fits.values).reshape(size, -1)
+        ok[cands, rows] = fits.ok.reshape(size, -1)
+    # each bandwidth's held-out rows in query order, summed as one array
+    loss = [float(d2[c][ok[c]].sum()) + penalty * int((~ok[c]).sum()) for c in range(len(hs))]
+    return np.array(loss), ok.sum(axis=1)
+
+
+def _score_candidate(folds, space, h_tuples, kernel, estimator, threads=None) -> list:
     """Mean held-out loss of each bandwidth; inf where no held-out fit succeeded.
 
     The folds run on the worker pool, each scoring every bandwidth; the
     per-fold losses are added in fold order, so the scores do not depend on
     the worker count.
     """
+    if not h_tuples:
+        return []
     hs = np.array([BandwidthVector(np.array(h)).h for h in h_tuples])
     penalty = space.diameter() ** 2
-    per_fold = thread_map(lambda ctx: ctx.losses(space, hs, kernel, estimator, penalty),
-                          contexts, threads)
+    per_fold = thread_map(lambda fold: _fold_losses(fold, space, hs, kernel, estimator,
+                                                    penalty), folds, threads)
     total = np.zeros(len(hs))
     for loss, _ in per_fold:
         total += loss
     fitted = sum(f for _, f in per_fold)
-    rows = sum(ctx.rows for ctx in contexts)
+    rows = sum(len(held) for _, _, held in folds)
     return [math.inf if f == 0 else float(t) / rows for t, f in zip(total, fitted)]
 
 
@@ -218,8 +201,7 @@ def cv_score(data: Dataset, h: BandwidthVector, kernel: KernelFamily, folds,
     folds = np.asarray(folds, dtype=int)
     if folds.shape != (data.n,):
         raise ValueError(f"fold assignment must have length {data.n}")
-    contexts = [_FoldContext(data, folds, f) for f in sorted(set(folds.tolist()))]
-    return _score_candidate(contexts, data.space, [tuple(float(v) for v in h.h)],
+    return _score_candidate(_split(data, folds), data.space, [tuple(float(v) for v in h.h)],
                             kernel, estimator)[0]
 
 
@@ -240,11 +222,11 @@ def two_stage_search(data: Dataset, kernel: KernelFamily, grid: GridSpec, k: int
     if grid.dim != data.dim:
         raise ValueError(f"grid dimension {grid.dim} != data dimension {data.dim}")
     folds = kfold_split(data.n, k, seed)
-    contexts = [_FoldContext(data, folds, f) for f in range(k)]
+    splits = _split(data, folds)
     space = data.space
 
     def score(candidates):
-        return list(zip(candidates, _score_candidate(contexts, space, candidates, kernel,
+        return list(zip(candidates, _score_candidate(splits, space, candidates, kernel,
                                                      estimator, threads)))
 
     stage1_scores = score(grid.stage1_candidates())

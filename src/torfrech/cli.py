@@ -4,9 +4,9 @@ Subcommands: fit (predict at queries), cv (two-stage bandwidth search),
 simulate (the Monte Carlo study), ingest-network (trips -> Laplacian
 dataset), eval (squared-distance summary between two datasets).
 
-Exit codes: 0 ok, 2 usage/validation error, 3 numerical failure. All outputs
-are deterministic given flags and seed; TORFRECH_THREADS caps parallelism
-(0 = auto).
+Exit codes: 0 ok, 2 usage/validation error, 3 numerical failure. Outputs are
+deterministic given flags and seed at any TORFRECH_THREADS (0 = auto); BLAS
+threads can move their last bits at large n, unless OPENBLAS_NUM_THREADS=1.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ which satisfy mean(W) = 1 and mean(W theta) = 0 identically. Both identities
 hold at floating-point accuracy because sigma is computed from the same
 solved vector b that enters the weights.
 
-Every fit runs through `QueryBatch`: cross-validation reuses one per fold
-(or per slice of a large fold) and fits a stack of bandwidths in one call,
-`fit_queries` fits any query set in memory-bounded chunks, and the
-single-query estimators are batches of one bandwidth and one query. For each
+Every fit runs through `QueryBatch`, and `fit_chunks` is the one place that
+cuts a fit into memory-bounded calls: `fit_queries` concatenates its chunks
+for one bandwidth, cross-validation scores a stack of bandwidths on each
+fold's held-out queries from them, and the single-query estimators are
+batches of one bandwidth and one query. For each
 query, mu1, mu2 and the projections b'theta of a whole bandwidth stack are
 matrix products against that query's shared tangent coordinates. Failed rows
 carry a cause; `fit_error` types it.
@@ -52,9 +53,9 @@ CONDITION_LIMIT = 1e12
 _IDENTITY_TOL = 1e-10
 _SIGMA_GUARD = 100.0 * np.finfo(float).eps / _IDENTITY_TOL
 
-# Cap on weight rows x observations per fit call: fit_queries chunks queries
-# by it, and cross-validation chunks a fold's (bandwidth, query) rows by it. It
-# bounds the geometry, moment and solver arrays of one call.
+# Cap on (bandwidth, query) weight rows x observations per fit call, applied
+# by fit_chunks to fit and cross-validation alike. It bounds the geometry,
+# moment and solver arrays of one call.
 QUERY_CHUNK_CELLS = 16384
 
 LOCAL_CONSTANT = "lc"
@@ -330,13 +331,27 @@ class QueryBatch:
         return QueryFits(values, cond, sigma, iterations, cause)
 
 
+def fit_chunks(data: Dataset, query_angles, h, kernel: KernelFamily, estimator: str):
+    """Yield (bandwidth slice, query slice, QueryFits) over one BandwidthVector
+    or a (C, d) stack: query slices of QUERY_CHUNK_CELLS // n, one QueryBatch
+    each, fit their bandwidths in stacks of at most QUERY_CHUNK_CELLS rows x
+    observations (one row per call when n exceeds it)."""
+    queries = np.atleast_2d(np.asarray(query_angles, dtype=float))
+    hs, q = _bandwidth_stack(h, data.dim), queries.shape[0]
+    step = max(1, QUERY_CHUNK_CELLS // data.n)
+    stack = max(1, QUERY_CHUNK_CELLS // (min(step, q) * data.n))
+    for i in range(0, q, step):
+        rows = slice(i, min(i + step, q))
+        batch = QueryBatch(data, queries[rows])
+        for c in range(0, len(hs), stack):
+            cands = slice(c, min(c + stack, len(hs)))
+            yield cands, rows, batch.estimates(hs[cands], kernel, estimator)
+
+
 def fit_queries(data: Dataset, query_angles, h: BandwidthVector, kernel: KernelFamily,
                 estimator: str) -> QueryFits:
-    """Fit every query row in QueryBatch chunks of QUERY_CHUNK_CELLS cells."""
-    queries = np.atleast_2d(np.asarray(query_angles, dtype=float))
-    step = max(1, QUERY_CHUNK_CELLS // data.n)
-    parts = [QueryBatch(data, queries[i:i + step]).estimates(h, kernel, estimator)
-             for i in range(0, queries.shape[0], step)]
+    """Fit every query row under one bandwidth, chunk by chunk (fit_chunks)."""
+    parts = [fits for _, _, fits in fit_chunks(data, query_angles, h, kernel, estimator)]
     return QueryFits(*(np.concatenate([getattr(p, f.name) for p in parts])
                        for f in fields(QueryFits)))
 

@@ -422,8 +422,8 @@ class GraphLaplacianSpace(ResponseSpace):
     Valid payloads are symmetric with zero row sums and off-diagonal entries
     in [-C_w, 0], metrized by the Frobenius distance. Means are solved in edge
     coordinates by a box-constrained projected gradient from the weighted average
-    t of the edge weights, run on all weight rows at once; each row stops on its
-    own rule, and a row with t in the box returns L(t) exactly.
+    t of the edge weights, run on all weight rows at once; a row stops once a step
+    moves no edge by 1e-12 * C_w, and a row with t in the box returns L(t) exactly.
     """
 
     kind = "graph_laplacian"
@@ -490,7 +490,7 @@ class GraphLaplacianSpace(ResponseSpace):
             u = w - t
             deg = (u[:, None, :] @ inc)[:, 0]
             w_new = np.clip(w - step * 2.0 * (2.0 * u + deg[:, iu] + deg[:, ju]), 0.0, self.c_w)
-            done = np.max(np.abs(w_new - w), axis=1) < 1e-12
+            done = np.max(np.abs(w_new - w), axis=1) < 1e-12 * self.c_w
             w = w_new
             if done.any():
                 stop = rows[done]

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torfrech import bandwidth
+from torfrech import bandwidth, frechet
 from torfrech.bandwidth import (
     CVResult,
     GridSpec,
@@ -211,13 +211,13 @@ def _same_score(stacked, single):
     return abs(stacked - single) <= 1e-12 * abs(single)
 
 
-@pytest.mark.parametrize("cap", [bandwidth.QUERY_CHUNK_CELLS, 40])
+@pytest.mark.parametrize("cap", [frechet.QUERY_CHUNK_CELLS, 40])
 @pytest.mark.parametrize("kernel", list(KernelFamily))
 @pytest.mark.parametrize("kind", ["scalar", "sphere", "wasserstein", "laplacian"])
 def test_stacked_search_matches_single_candidate_scores(kind, kernel, cap, monkeypatch):
     # cap 40 puts a fold of 6 held-out rows x 18 training rows in three query
     # slices of one bandwidth each; the default cap stacks every bandwidth
-    monkeypatch.setattr(bandwidth, "QUERY_CHUNK_CELLS", cap)
+    monkeypatch.setattr(frechet, "QUERY_CHUNK_CELLS", cap)
     data = space_data(kind, np.random.default_rng(48))
     grid = GridSpec(((0.05, 0.4, 1.2), (0.3, 0.9)), stage2_halfwidth=1)
     for estimator in ("lc", "ll"):
@@ -249,10 +249,10 @@ def test_stacked_weight_rows_match_per_bandwidth_rows(kernel):
                 assert np.max(np.abs(stacked[0][rows] - single[0])) <= 1e-12 * scale
 
 
-def _stage_peak(contexts, space, candidates):
+def _stage_peak(splits, space, candidates):
     tracemalloc.start()
     try:
-        bandwidth._score_candidate(contexts, space, candidates, VM, "lc", threads=1)
+        bandwidth._score_candidate(splits, space, candidates, VM, "lc", threads=1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -263,9 +263,28 @@ def test_stage_memory_is_flat_in_the_number_of_candidates():
     a stage of 400 candidates peaks no higher than one of 25."""
     data = sphere_data(np.random.default_rng(50), 200)
     folds = kfold_split(data.n, 5, seed=0)
-    contexts = [bandwidth._FoldContext(data, folds, f) for f in range(5)]
+    splits = [(data.subset(folds != f), data.angles[folds == f], data.responses[folds == f])
+              for f in range(5)]
     axis = np.linspace(0.3, 1.2, 20)
     many = [(a, b) for a in axis for b in axis]
     few = [(a, b) for a in axis[::4] for b in axis[::4]]
-    assert _stage_peak(contexts, data.space, many) <= \
-        1.25 * _stage_peak(contexts, data.space, few)
+    assert _stage_peak(splits, data.space, many) <= \
+        1.25 * _stage_peak(splits, data.space, few)
+
+
+def test_cv_memory_is_flat_in_n():
+    """Folds keep no geometry between fit chunks, so a CV score at n = 1,500
+    peaks within 1.5x of one at n = 500, fold set-up included."""
+    def peak(n):
+        data = scalar_data(np.random.default_rng(51), n, d=2)
+        folds = kfold_split(n, 5, seed=0)
+        tracemalloc.start()
+        try:
+            score = cv_score(data, BandwidthVector([0.5, 0.5]), VM, folds, "ll")
+            return tracemalloc.get_traced_memory()[1], score
+        finally:
+            tracemalloc.stop()
+
+    (small, small_score), (large, large_score) = peak(500), peak(1500)
+    assert math.isfinite(small_score) and math.isfinite(large_score)
+    assert large <= 1.5 * small

@@ -20,6 +20,7 @@ from torfrech.frechet import (
     LOCAL_CONSTANT,
     LOCAL_LINEAR,
     QueryBatch,
+    fit_chunks,
     fit_queries,
     local_constant_estimate,
     local_linear_estimate,
@@ -375,6 +376,29 @@ def test_fit_memory_is_flat_in_the_number_of_queries():
     (few, fits_few), (many, fits_many) = peak(30), peak(300)
     assert fits_few.ok.all() and fits_many.ok.all()
     assert many <= 1.5 * few
+
+
+@pytest.mark.parametrize("q, n, c, cap", [(7, 5, 3, 40), (10, 6, 4, 64), (3, 9, 5, 1000),
+                                          (1, 20, 6, 50), (4, 50, 2, 30)])
+def test_fit_chunks_cover_the_grid_once_in_order_within_the_cap(q, n, c, cap, monkeypatch):
+    """Chunks tile the (bandwidth, query) grid query slice by query slice, each
+    call within the cap (one row per call when n exceeds it), and each chunk
+    holds the fits of its own rows."""
+    monkeypatch.setattr(frechet, "QUERY_CHUNK_CELLS", cap)
+    rng = np.random.default_rng(62)
+    data = scalar_dataset(rng, n, 2)
+    queries = rng.uniform(-math.pi, math.pi, size=(q, 2))
+    hs = rng.uniform(0.5, 2.0, size=(c, 2))
+    whole = QueryBatch(data, queries).estimates(hs, VM, LOCAL_LINEAR).values.reshape(c, q)
+    covered, order = np.zeros((c, q), dtype=int), []
+    for cands, rows, fits in fit_chunks(data, queries, hs, VM, LOCAL_LINEAR):
+        size = (cands.stop - cands.start) * (rows.stop - rows.start)
+        assert size * n <= cap if n <= cap else size == 1
+        covered[cands, rows] += 1
+        order.append((rows.start, cands.start))
+        assert np.allclose(fits.values.reshape(-1, rows.stop - rows.start),
+                           whole[cands, rows], rtol=1e-12, atol=1e-12)
+    assert (covered == 1).all() and order == sorted(order)
 
 
 def test_sphere_rows_converge_at_large_n():

@@ -283,7 +283,7 @@ def _laplacian_mean_one_row(space, stacked, weights, tol=1e-10, max_iter=2000):
         w_new = np.clip(w - step * grad, 0.0, space.c_w)
         lap = space.edge_weights_to_laplacian(w_new)
         f_new = np.sum((lap - target) ** 2)
-        if f - f_new < tol and np.max(np.abs(w_new - w)) < 1e-12:
+        if f - f_new < tol and np.max(np.abs(w_new - w)) < 1e-12 * space.c_w:
             return lap, it, True
         w, f = w_new, f_new
     return lap, max_iter, False
@@ -322,6 +322,21 @@ def test_laplacian_batch_rows_are_box_kkt_points_and_match_single_rows(k):
         assert alone_iters[0] == iters[r]
         ref, ref_iters, ref_conv = _laplacian_mean_one_row(space, pts, w[r])
         assert np.max(np.abs(ref - values[r])) <= 1e-12 and ref_iters == iters[r] and ref_conv
+
+
+def test_laplacian_stop_rule_is_relative_to_the_edge_weight_cap():
+    """The same problem with payloads and cap scaled by 2^20 takes the same
+    iterations to the scaled solution: the step test is in units of c_w."""
+    k, scale = 13, 2.0 ** 20
+    unit, big = GraphLaplacianSpace(k, 1.0), GraphLaplacianSpace(k, scale)
+    rng = np.random.default_rng(140)
+    pts = unit.stack([random_payload(unit, rng) for _ in range(20)])
+    w = rng.uniform(-0.8, 1.0, size=(101, 20))
+    w[w.sum(axis=1) < 0.5] += 0.5
+    values, ok, iters, conv = unit.frechet_mean_batch(pts, w)
+    big_values, big_ok, big_iters, big_conv = big.frechet_mean_batch(pts * scale, w)
+    assert ok.all() and conv.all() and big_ok.all() and big_conv.all()
+    assert np.array_equal(big_iters, iters) and np.array_equal(big_values, values * scale)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
