@@ -165,21 +165,24 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
         angles.append(vals)
     angles = np.array(angles)
     fits = fit_queries(dataset, angles, h, fam, estimator)
-    if not fits.ok.all():
-        i = int(np.argmin(fits.ok))
-        click.echo(f"numerical failure at query row {i + 1}: {fits.error(i)}", err=True)
-        sys.exit(3)
     predictions = Dataset(dataset.space, angles, fits.values)
+    # "converged" holds where a mean solve ran and converged; a failed row's
+    # cause says why it did not, and the diagnostics are written either way
     diagnostics = [{
         "query_row": i + 1,
         "angles": [float(a) for a in predictions.angles[i]],
         "condition_number": float(fits.condition_number[i]),
         "sigma": float(fits.sigma[i]),
         "solver_iterations": int(fits.iterations[i]),
-        "converged": True,
+        "converged": bool(fits.ok[i]),
+        "cause": str(fits.cause[i]),
     } for i in range(predictions.n)]
-    save_dataset(out, predictions)
     _dump_json(str(out) + ".diag.json", diagnostics)
+    if not fits.ok.all():
+        i = int(np.argmin(fits.ok))
+        click.echo(f"numerical failure at query row {i + 1}: {fits.error(i)}", err=True)
+        sys.exit(3)
+    save_dataset(out, predictions)
 
 
 @main.command("cv")

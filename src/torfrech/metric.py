@@ -14,9 +14,10 @@ positive value:
 * distributions on an interval (quantile grid): the weighted average of the
   quantile vectors, projected onto the nondecreasing cone;
 * graph Laplacians: the weighted average of the edge-weight vectors, projected
-  onto the edge-weight box (Frobenius metric) by a projected gradient run on
-  all weight rows of a batch at once; the edge index is built on first use, so
-  a descriptor alone costs no memory quadratic in the node count.
+  onto the edge-weight box (Frobenius metric), a box-constrained QP solved
+  exactly by a safeguarded active-set iteration run on all weight rows of a
+  batch at once; the edge index is built on first use, so a descriptor alone
+  costs no memory quadratic in the node count.
 
 A brute-force grid oracle is provided for small spaces so the solvers can
 be checked against exhaustive minimization.
@@ -43,7 +44,8 @@ _SPHERE_CURVATURE_FLOOR = 1e-3  # least |Hessian eigenvalue|, relative to sum |w
 _SPHERE_TOL = 1e-12  # per unit of sum |w|: Newton steps predicting less skip the line search
 _SPHERE_HALVINGS = 30  # line-search halvings before a row counts as stalled
 _SPHERE_MAX_ITER = 500
-_LAPLACIAN_MAX_ITER = 2000
+_LAPLACIAN_MAX_ITER = 50
+_LAPLACIAN_STEPS = 0.5 ** np.arange(4)  # step lengths tried along the active-set direction
 
 
 def _float_array(payload) -> np.ndarray:
@@ -416,14 +418,31 @@ class WassersteinSpace(ResponseSpace):
         return {"kind": self.kind, "grid": self.grid_size, "a": self.a, "b": self.b}
 
 
+def _least_objective(cands: np.ndarray, t: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Per row of the (rows, S, E) edge-weight candidates, the one nearest L(t) in
+    the Frobenius norm: ||L(x) - L(t)||^2 = 2 |x - t|^2 + |(x - t) @ inc|^2, inc the
+    unsigned edge-node incidence. Ties go to the first candidate."""
+    diff = cands - t[:, None]
+    deg = diff @ inc  # one product per row, so a row's bits do not depend on its batch
+    obj = 2.0 * np.einsum("rse,rse->rs", diff, diff) + np.einsum("rsk,rsk->rs", deg, deg)
+    return cands[np.arange(len(cands)), np.argmin(obj, axis=1)]
+
+
 class GraphLaplacianSpace(ResponseSpace):
     """Graph Laplacians of undirected graphs on a fixed node set.
 
     Valid payloads are symmetric with zero row sums and off-diagonal entries
-    in [-C_w, 0], metrized by the Frobenius distance. Means are solved in edge
-    coordinates by a box-constrained projected gradient from the weighted average
-    t of the edge weights, run on all weight rows at once; a row stops once a step
-    moves no edge by 1e-12 * C_w, and a row with t in the box returns L(t) exactly.
+    in [-C_w, 0], metrized by the Frobenius distance. A mean minimises
+    ||L(w) - L(t)||^2 = (w - t)' (2 I + N'N) (w - t) over edge weights w in the
+    box [0, C_w], t the weighted average of the edge weights and N the node-edge
+    incidence. Each iteration takes the primal-dual active-set step (Hintermueller,
+    Ito and Kunisch 2002), searches along its projection arc as Bertsekas's projected
+    Newton does, and moves to the arc point or the projected-gradient point of least
+    objective, so every step does at least as well as projected gradient and the
+    iteration cannot cycle, as the bare active-set iteration can. A row stops
+    once the projected-gradient step moves no edge by 1e-12 * C_w, which holds only
+    at a feasible KKT point; a row with t in the box returns L(t) exactly, and a
+    row still moving after _LAPLACIAN_MAX_ITER iterations is reported unconverged.
     """
 
     kind = "graph_laplacian"
@@ -477,27 +496,50 @@ class GraphLaplacianSpace(ResponseSpace):
         return lap
 
     def _mean_batch(self, stacked, weight_rows):
-        k, (iu, ju) = self.n_nodes, self._iu
-        nodes = np.arange(k)  # unsigned incidence: u @ inc holds u's node degrees
+        k, (iu, ju), c_w = self.n_nodes, self._iu, self.c_w
+        edges = _weighted_average(-stacked[:, iu, ju], weight_rows)  # the targets t
+        # a row whose target lies in the box is its own mean: its first stop test holds
+        rows = np.nonzero(~np.all((edges >= 0.0) & (edges <= c_w), axis=1))[0]
+        iters, converged = np.ones(len(edges), dtype=int), np.ones(len(edges), dtype=bool)
+        iters[rows], converged[rows] = _LAPLACIAN_MAX_ITER, False
+        t = edges[rows]
+        w = np.clip(t, 0.0, c_w)
+        nodes = np.arange(k)  # unsigned incidence N: u @ inc holds u's node degrees
         inc = ((iu[:, None] == nodes) | (ju[:, None] == nodes)).astype(float)
-        t = _weighted_average(-stacked[:, iu, ju], weight_rows)
-        w, step, q = np.clip(t, 0.0, self.c_w), 1.0 / (4.0 * k), t.shape[0]
-        edges, rows = np.empty_like(w), np.arange(q)
-        iters, converged = np.full(q, _LAPLACIAN_MAX_ITER), np.zeros(q, dtype=bool)
+        # ||L(w) - L(t)||^2 = 2 |u|^2 + |u @ inc|^2 with u = w - t; degrees, solves and
+        # objectives are computed per row, so a row's bits do not depend on its batch
         for it in range(1, _LAPLACIAN_MAX_ITER + 1):
-            # ||L(w) - L(t)||^2 = 2 |u|^2 + |u @ inc|^2 with u = w - t; the degrees
-            # are a product per row, so a row's bits do not depend on its batch
             u = w - t
             deg = (u[:, None, :] @ inc)[:, 0]
-            w_new = np.clip(w - step * 2.0 * (2.0 * u + deg[:, iu] + deg[:, ju]), 0.0, self.c_w)
-            done = np.max(np.abs(w_new - w), axis=1) < 1e-12 * self.c_w
-            w = w_new
+            grad = 2.0 * (2.0 * u + deg[:, iu] + deg[:, ju])
+            # the projected-gradient point (step 1/L = 1/(4k)) is both the stop test,
+            # which holds only at a feasible KKT point, and the fallback step
+            pg = np.clip(w - grad / (4.0 * k), 0.0, c_w)
+            done = np.max(np.abs(pg - w), axis=1) < 1e-12 * c_w
             if done.any():
                 stop = rows[done]
-                edges[stop], iters[stop], converged[stop] = w[done], it, True
-                rows, w, t = (a[~done] for a in (rows, w, t))
-                if rows.size == 0:
-                    break
+                edges[stop], iters[stop], converged[stop] = pg[done], it, True
+                rows, w, t, pg, grad = (a[~done] for a in (rows, w, t, pg, grad))
+            if rows.size == 0:
+                break
+            # active-set point: edges that w - grad / 8 (8, the Hessian's diagonal) puts
+            # outside the box are fixed at the bound; the free edges F minimise exactly
+            # with the rest held, by Woodbury through the k x k matrix 2 I + N_F N_F'
+            trial = w - grad / 8.0
+            free = (trial > 0.0) & (trial < c_w)
+            fixed = np.where(trial <= 0.0, 0.0, c_w)
+            resid = (np.where(free, 0.0, fixed - t)[:, None, :] @ inc)[:, 0]
+            gram = np.zeros((rows.size, k, k))
+            gram[:, iu, ju] = gram[:, ju, iu] = free
+            gram[:, nodes, nodes] = 2.0 + free @ inc
+            dual = np.linalg.solve(gram, resid[:, :, None])[:, :, 0]
+            step = np.where(free, t - dual[:, iu] - dual[:, ju], fixed) - w
+            # candidates: the projection arc clip(w + a step), a = 1, 1/2, 1/4, 1/8, and
+            # the projected-gradient point; a row moves to the one of least objective, so
+            # no iteration does worse than projected gradient
+            w = _least_objective(np.concatenate(
+                [w[:, None] + _LAPLACIAN_STEPS[:, None] * step[:, None], pg[:, None]],
+                axis=1).clip(0.0, c_w), t, inc)
         edges[rows] = w
         return self.edge_weights_to_laplacian(edges), iters, converged
 

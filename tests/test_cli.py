@@ -144,6 +144,11 @@ def test_fit_failure_names_the_failing_query_row(tmp_path, runner):
     assert result.exit_code == 3
     assert "query row 2" in result.output
     assert "singular" in result.output
+    # the diagnostics are written before the exit, with each row's cause
+    assert not (tmp_path / "o.csv").exists()
+    diag = json.loads((tmp_path / "o.csv.diag.json").read_text())
+    assert [(row["query_row"], row["cause"], row["converged"]) for row in diag] == [
+        (1, "ok", True), (2, "singular", False)]
 
 
 @pytest.mark.parametrize("blob", [[0.5, 0.5], {"best_score": 1.0}])

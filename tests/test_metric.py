@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torfrech import metric
 from torfrech.errors import DegenerateWeightsError, PayloadError, UnsupportedOracleError
+from torfrech.frechet import Dataset, QueryBatch
+from torfrech.kernels import BandwidthVector, KernelFamily
 from torfrech.metric import (
     _weighted_average,
     GraphLaplacianSpace,
@@ -321,7 +324,8 @@ def test_laplacian_batch_rows_are_box_kkt_points_and_match_single_rows(k):
         assert np.array_equal(alone[0], values[r])  # bit for bit, whatever the batch
         assert alone_iters[0] == iters[r]
         ref, ref_iters, ref_conv = _laplacian_mean_one_row(space, pts, w[r])
-        assert np.max(np.abs(ref - values[r])) <= 1e-12 and ref_iters == iters[r] and ref_conv
+        assert np.sum((values[r] - target[r]) ** 2) <= np.sum((ref - target[r]) ** 2) \
+            + 1e-12 * (1.0 + np.sum(off[r] ** 2)) and ref_conv
 
 
 def test_laplacian_stop_rule_is_relative_to_the_edge_weight_cap():
@@ -337,6 +341,95 @@ def test_laplacian_stop_rule_is_relative_to_the_edge_weight_cap():
     big_values, big_ok, big_iters, big_conv = big.frechet_mean_batch(pts * scale, w)
     assert ok.all() and conv.all() and big_ok.all() and big_conv.all()
     assert np.array_equal(big_iters, iters) and np.array_equal(big_values, values * scale)
+
+
+def _projected_gradient_edges(space, t, n_iter=5000):
+    """Reference: a long projected gradient on the edge weights, step 1/(4k)."""
+    iu, ju = np.triu_indices(space.n_nodes, 1)
+    w = np.clip(t, 0.0, space.c_w)
+    for _ in range(n_iter):
+        resid = space.edge_weights_to_laplacian(w - t)
+        grad = 2.0 * (resid[:, iu, iu] + resid[:, ju, ju] - 2.0 * resid[:, iu, ju])
+        w = np.clip(w - grad / (4.0 * space.n_nodes), 0.0, space.c_w)
+    return w
+
+
+def _signed_weight_rows(space, sigma, seed):
+    """Payload edge weights drawn from the box and weight rows from N(0.3, sigma^2)
+    that sum to a positive value: (edges, weights, means, iterations, converged)."""
+    rng = np.random.default_rng(seed)
+    edges = rng.uniform(0.0, space.c_w, size=(12, space.n_nodes * (space.n_nodes - 1) // 2))
+    w = rng.normal(0.3, sigma, size=(40, 12))
+    w = w[w.sum(axis=1) > 0.0]
+    values, ok, iters, conv = space.frechet_mean_batch(
+        space.edge_weights_to_laplacian(edges), w)
+    assert ok.all()
+    return edges, w, values, iters, conv
+
+
+def _assert_box_kkt(space, sol, t):
+    """Every row of sol lies in the box at a KKT point of ||L(s) - L(t)||^2."""
+    iu, ju = np.triu_indices(space.n_nodes, 1)
+    assert np.all((sol >= 0.0) & (sol <= space.c_w))
+    resid = space.edge_weights_to_laplacian(sol - t)
+    grad = 2.0 * (resid[:, iu, iu] + resid[:, ju, ju] - 2.0 * resid[:, iu, ju])
+    grad /= 1.0 + np.max(np.abs(t), axis=1, keepdims=True)  # rounding grows with |t|
+    assert np.all(grad[sol == 0.0] >= -1e-9) and np.all(grad[sol == space.c_w] <= 1e-9)
+    assert np.all(np.abs(grad[(sol > 0.0) & (sol < space.c_w)]) <= 1e-9)
+
+
+# Seed 681 at k = 13, sigma = 2 holds a row (14) on which the bare active-set
+# step, without the projected-gradient fallback, cycles past the iteration cap.
+@pytest.mark.parametrize("k,sigma,seed", [(5, 0.5, 1), (5, 2.0, 2), (5, 10.0, 3),
+                                          (13, 0.5, 4), (13, 2.0, 5), (13, 10.0, 6),
+                                          (13, 2.0, 681)])
+def test_laplacian_signed_weight_rows_reach_the_box_optimum_within_the_cap(k, sigma, seed):
+    """Every row converges within the cap at a feasible box-KKT point whose
+    objective is no worse than that of a long projected gradient."""
+    space = GraphLaplacianSpace(k, 2.0)
+    edges, w, values, iters, conv = _signed_weight_rows(space, sigma, seed)
+    assert conv.all() and iters.max() <= metric._LAPLACIAN_MAX_ITER
+    iu, ju = np.triu_indices(k, 1)
+    sol, t = -values[:, iu, ju], _weighted_average(edges, w)
+    assert not np.all((t >= 0.0) & (t <= space.c_w))  # some rows lie outside the box
+    _assert_box_kkt(space, sol, t)
+    ref = _projected_gradient_edges(space, t)
+    objective = [np.sum(space.edge_weights_to_laplacian(x - t) ** 2, axis=(1, 2))
+                 for x in (sol, ref)]
+    assert np.all(objective[0] <= objective[1] + 1e-12 * (1.0 + np.sum(t * t, axis=1)))
+
+
+def test_laplacian_rows_on_100_nodes_converge_within_the_cap():
+    """Iterations grow slowly with the node count. Taking only the clipped
+    active-set point or the projected-gradient point, without the search along
+    the projection arc, left 2 of these 100-node rows at the cap."""
+    space = GraphLaplacianSpace(100, 2.0)
+    edges, w, values, iters, conv = _signed_weight_rows(space, 2.0, 0)
+    assert conv.all() and iters.max() <= metric._LAPLACIAN_MAX_ITER
+    iu, ju = np.triu_indices(100, 1)
+    _assert_box_kkt(space, -values[:, iu, ju], _weighted_average(edges, w))
+
+
+def test_laplacian_rows_at_the_iteration_cap_are_reported_nonconverged(monkeypatch):
+    """With a cap of one iteration, rows whose target lies in the box converge at
+    once, the others come back unconverged, and a batched fit names them nonconverged."""
+    monkeypatch.setattr(metric, "_LAPLACIAN_MAX_ITER", 1)
+    space = GraphLaplacianSpace(5, 2.0)
+    rng = np.random.default_rng(150)
+    edges = rng.uniform(0.0, space.c_w, size=(60, 10))
+    edges[rng.random(edges.shape) < 0.3] = space.c_w
+    angles = rng.uniform(-math.pi, math.pi, size=(60, 2))
+    batch = QueryBatch(Dataset(space, angles, space.edge_weights_to_laplacian(edges)),
+                       rng.uniform(-math.pi, math.pi, size=(40, 2)))
+    h, kernel = BandwidthVector([0.4, 0.4]), KernelFamily.VON_MISES
+    w, ok = batch.weight_rows(h, kernel, "ll")[:2]
+    t = _weighted_average(edges, w[ok])
+    in_box = np.all((t >= 0.0) & (t <= space.c_w), axis=1)
+    assert in_box.sum() >= 5 and (~in_box).sum() >= 5
+    _, solved, iters, conv = space.frechet_mean_batch(batch.data.responses, w[ok])
+    assert solved.all() and np.array_equal(conv, in_box) and np.all(iters == 1)
+    cause = batch.estimates(h, kernel, "ll").cause[ok]
+    assert np.all(cause[in_box] == "ok") and np.all(cause[~in_box] == "nonconverged")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
