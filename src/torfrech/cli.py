@@ -166,8 +166,8 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
     angles = np.array(angles)
     fits = fit_queries(dataset, angles, h, fam, estimator)
     predictions = Dataset(dataset.space, angles, fits.values)
-    # "converged" holds where a mean solve ran and converged; a failed row's
-    # cause says why it did not, and the diagnostics are written either way
+    # "converged" is cause == "ok", kept for earlier readers of the file; the
+    # diagnostics are written before a failed row stops the run
     diagnostics = [{
         "query_row": i + 1,
         "angles": [float(a) for a in predictions.angles[i]],

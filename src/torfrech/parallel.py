@@ -6,14 +6,10 @@ order, so outputs are identical for any worker count (0 means auto).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 _ENV_VAR = "TORFRECH_THREADS"
-# BLAS threads of each process-pool worker: one, as the workers already fill the cores
-_WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                    "MKL_NUM_THREADS": "1"}
 
 
 def resolve_threads(threads=None) -> int:
@@ -42,23 +38,10 @@ def thread_map(fn, items, threads=None):
 
 
 def process_map(fn, items, threads=None):
-    """Order-preserving map over a process pool of spawned workers, each with BLAS
-    on one thread (fn must be picklable)."""
+    """Order-preserving map over a process pool (fn must be picklable)."""
     items = list(items)
     workers = resolve_threads(threads)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    # spawned workers are fresh interpreters that inherit the environment, so the
-    # BLAS variables hold when they import numpy; the parent's are put back after
-    saved = {name: os.environ.get(name) for name in _WORKER_BLAS_ENV}
-    os.environ.update(_WORKER_BLAS_ENV)
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(items)),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(fn, items))
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name)
-            else:
-                os.environ[name] = value
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))

@@ -292,6 +292,20 @@ def _laplacian_mean_one_row(space, stacked, weights, tol=1e-10, max_iter=2000):
     return lap, max_iter, False
 
 
+def _assert_box_kkt(space, sol, t):
+    """Every row of the edge weights sol lies in the box [0, c_w] at a KKT point
+    of ||L(s) - L(t)||^2."""
+    iu, ju = np.triu_indices(space.n_nodes, 1)
+    assert np.all((sol >= 0.0) & (sol <= space.c_w))
+    # gradient of ||L(s) - L(t)||^2 in s: 2 (2 u_ij + deg_i + deg_j), u = s - t
+    deg = np.diagonal(space.edge_weights_to_laplacian(sol - t), axis1=1, axis2=2)
+    grad = 2.0 * (2.0 * (sol - t) + deg[:, iu] + deg[:, ju])
+    at_zero, at_cap = sol == 0.0, sol == space.c_w
+    inside = ~(at_zero | at_cap)
+    assert np.all(grad[at_zero] >= -1e-9) and np.all(grad[at_cap] <= 1e-9)
+    assert np.all(np.abs(grad[inside]) <= 1e-9)
+
+
 @pytest.mark.parametrize("k", [3, 13])
 def test_laplacian_batch_rows_are_box_kkt_points_and_match_single_rows(k):
     space = GraphLaplacianSpace(k, 4.0)
@@ -343,17 +357,6 @@ def test_laplacian_stop_rule_is_relative_to_the_edge_weight_cap():
     assert np.array_equal(big_iters, iters) and np.array_equal(big_values, values * scale)
 
 
-def _projected_gradient_edges(space, t, n_iter=5000):
-    """Reference: a long projected gradient on the edge weights, step 1/(4k)."""
-    iu, ju = np.triu_indices(space.n_nodes, 1)
-    w = np.clip(t, 0.0, space.c_w)
-    for _ in range(n_iter):
-        resid = space.edge_weights_to_laplacian(w - t)
-        grad = 2.0 * (resid[:, iu, iu] + resid[:, ju, ju] - 2.0 * resid[:, iu, ju])
-        w = np.clip(w - grad / (4.0 * space.n_nodes), 0.0, space.c_w)
-    return w
-
-
 def _signed_weight_rows(space, sigma, seed):
     """Payload edge weights drawn from the box and weight rows from N(0.3, sigma^2)
     that sum to a positive value: (edges, weights, means, iterations, converged)."""
@@ -365,17 +368,6 @@ def _signed_weight_rows(space, sigma, seed):
         space.edge_weights_to_laplacian(edges), w)
     assert ok.all()
     return edges, w, values, iters, conv
-
-
-def _assert_box_kkt(space, sol, t):
-    """Every row of sol lies in the box at a KKT point of ||L(s) - L(t)||^2."""
-    iu, ju = np.triu_indices(space.n_nodes, 1)
-    assert np.all((sol >= 0.0) & (sol <= space.c_w))
-    resid = space.edge_weights_to_laplacian(sol - t)
-    grad = 2.0 * (resid[:, iu, iu] + resid[:, ju, ju] - 2.0 * resid[:, iu, ju])
-    grad /= 1.0 + np.max(np.abs(t), axis=1, keepdims=True)  # rounding grows with |t|
-    assert np.all(grad[sol == 0.0] >= -1e-9) and np.all(grad[sol == space.c_w] <= 1e-9)
-    assert np.all(np.abs(grad[(sol > 0.0) & (sol < space.c_w)]) <= 1e-9)
 
 
 # Seed 681 at k = 13, sigma = 2 holds a row (14) on which the bare active-set
@@ -390,13 +382,14 @@ def test_laplacian_signed_weight_rows_reach_the_box_optimum_within_the_cap(k, si
     edges, w, values, iters, conv = _signed_weight_rows(space, sigma, seed)
     assert conv.all() and iters.max() <= metric._LAPLACIAN_MAX_ITER
     iu, ju = np.triu_indices(k, 1)
-    sol, t = -values[:, iu, ju], _weighted_average(edges, w)
+    t = _weighted_average(edges, w)
     assert not np.all((t >= 0.0) & (t <= space.c_w))  # some rows lie outside the box
-    _assert_box_kkt(space, sol, t)
-    ref = _projected_gradient_edges(space, t)
-    objective = [np.sum(space.edge_weights_to_laplacian(x - t) ** 2, axis=(1, 2))
-                 for x in (sol, ref)]
-    assert np.all(objective[0] <= objective[1] + 1e-12 * (1.0 + np.sum(t * t, axis=1)))
+    _assert_box_kkt(space, -values[:, iu, ju], t)
+    pts, target = space.edge_weights_to_laplacian(edges), space.edge_weights_to_laplacian(t)
+    for r in range(w.shape[0]):
+        ref, _, ref_conv = _laplacian_mean_one_row(space, pts, w[r], max_iter=5000)
+        assert ref_conv and np.sum((values[r] - target[r]) ** 2) <= \
+            np.sum((ref - target[r]) ** 2) + 1e-12 * (1.0 + np.sum(t[r] ** 2))
 
 
 def test_laplacian_rows_on_100_nodes_converge_within_the_cap():
@@ -451,16 +444,8 @@ def test_laplacian_mean_rows_are_converged_box_kkt_points(k, seed, n, spread):
     values, ok, iters, conv = space.frechet_mean_batch(pts, w)
     assert ok.all() and conv.all()
     iu, ju = np.triu_indices(k, 1)
-    sol = -values[:, iu, ju]
-    assert np.all((sol >= 0.0) & (sol <= space.c_w))
     t = _weighted_average(edges, w)
-    # gradient of ||L(s) - L(t)||^2 in s: 2 (2 u_ij + deg_i + deg_j), u = s - t
-    deg = np.diagonal(space.edge_weights_to_laplacian(sol - t), axis1=1, axis2=2)
-    grad = 2.0 * (2.0 * (sol - t) + deg[:, iu] + deg[:, ju])
-    at_zero, at_cap = sol == 0.0, sol == space.c_w
-    inside = ~(at_zero | at_cap)
-    assert np.all(grad[at_zero] >= -1e-9) and np.all(grad[at_cap] <= 1e-9)
-    assert np.all(np.abs(grad[inside]) <= 1e-9)
+    _assert_box_kkt(space, -values[:, iu, ju], t)
     in_box = np.all((t >= 0.0) & (t <= space.c_w), axis=1)
     assert np.array_equal(values[in_box], space.edge_weights_to_laplacian(t[in_box]))
     for r in range(w.shape[0]):
