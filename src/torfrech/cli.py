@@ -159,6 +159,8 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
     angles = []
     for i, q in enumerate(queries, start=1):
         vals = _parse_floats(q, f"--query #{i}")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"--query #{i} {q!r} has a non-finite angle")
         if len(vals) != dataset.dim:
             raise click.UsageError(f"query row {i} has {len(vals)} angles, "
                                    f"expected {dataset.dim}")

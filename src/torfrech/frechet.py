@@ -211,20 +211,14 @@ def _theta_gaps(data_angles: np.ndarray, query_angles: np.ndarray):
     return theta.transpose(1, 2, 0), gaps.transpose(1, 2, 0)
 
 
-def _solve_refined(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched symmetric solve with one step of iterative refinement."""
-    sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
-    resid = rhs - np.einsum("qde,qe->qd", mats, sol)
-    sol = sol + np.linalg.solve(mats, resid[..., None])[..., 0]
-    return sol
-
-
 def _linear_weights(kvals, theta, mu0, mu1, mu2):
     """The local linear weight rule for rows of kernel values.
 
     kvals holds C * q rows, candidate-major, over the q queries of theta
     (q, n, d). Returns (weights, ok, cond, sigma); failed rows (cond > 1e12,
     or sigma under its guard) get zero weights, and singular rows sigma NaN.
+    b is one LU solve: refinement in working precision cannot lower the normwise
+    residual of that backward-stable solve (Higham 2002, sec. 12.2).
     """
     eigs = np.linalg.eigvalsh(mu2)
     lo, hi = eigs[:, 0], eigs[:, -1]
@@ -232,10 +226,8 @@ def _linear_weights(kvals, theta, mu0, mu1, mu2):
         cond = np.where(lo > 0.0, hi / lo, np.inf)
     ok = cond <= CONDITION_LIMIT
     sigma = np.full(len(mu0), np.nan)
-    if not np.any(ok):
-        return np.zeros_like(kvals), ok, cond, sigma
     beta = np.zeros_like(mu1)
-    beta[ok] = _solve_refined(mu2[ok], mu1[ok])
+    beta[ok] = np.linalg.solve(mu2[ok], mu1[ok][..., None])[..., 0]
     sig = mu0 - np.einsum("rd,rd->r", mu1, beta)
     # b'theta for every row: per query, the (C, d) betas times its (d, n) thetas
     q, d = theta.shape[0], theta.shape[2]

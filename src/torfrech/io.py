@@ -92,6 +92,8 @@ def load_dataset(path, space: ResponseSpace | None = None,
             except ValueError:
                 raise DatasetFormatError(
                     f"{path} row {rownum}: non-numeric angle in {row[:-1]}") from None
+            if not all(map(math.isfinite, angles[-1])):
+                raise DatasetFormatError(f"{path} row {rownum}: non-finite angle in {row[:-1]}")
             try:
                 payloads.append(space.payload_from_json(json.loads(row[-1])))
             except json.JSONDecodeError as exc:
@@ -188,13 +190,11 @@ def build_laplacians(trips, n_nodes: int, c_w: float | None = None):
     if c_w is None:
         observed = max((float(w.max()) for w in weights.values()), default=0.0)
         c_w = observed if observed > 0.0 else 1.0
+    space = GraphLaplacianSpace(n_nodes, c_w)
     pairs = []
     for key in sorted(weights):
         doy_len, day, hour = key
-        w = np.clip(weights[key], 0.0, c_w)
-        lap = -w
-        np.fill_diagonal(lap, 0.0)
-        np.fill_diagonal(lap, -lap.sum(axis=1))
+        lap = space.edge_weights_to_laplacian(np.clip(weights[key][space._iu], 0.0, c_w))
         pairs.append((encode_time_to_torus(hour, day, doy_len), lap))
     return pairs, float(c_w)
 

@@ -28,7 +28,8 @@ def resolve_threads(threads=None) -> int:
 
 
 def thread_map(fn, items, threads=None):
-    """Order-preserving map over a thread pool (numpy releases the GIL)."""
+    """Order-preserving map over a thread pool. The cv folds' short numpy calls hold
+    the GIL in between, and on 2 vCPUs this measured slower than serial (ROADMAP)."""
     items = list(items)
     workers = resolve_threads(threads)
     if workers <= 1 or len(items) <= 1:

@@ -96,16 +96,14 @@ class SimReport:
 
 
 def regression_surface(angles: np.ndarray) -> np.ndarray:
-    """Unit vectors (cos psi, sin phi, sin psi cos phi)/norm for angle rows (psi, phi)."""
+    """Unit vectors (cos psi, sin phi, sin psi cos phi)/norm for angle rows (psi, phi);
+    norm^2 = 1 + cos^2 psi sin^2 phi >= 1, so the division is always safe."""
     ang = np.atleast_2d(np.asarray(angles, dtype=float))
     if ang.shape[1] != 2:
         raise ValueError("the regression surface is defined on the 2-torus")
     psi, phi = ang[:, 0], ang[:, 1]
     raw = np.stack([np.cos(psi), np.sin(phi), np.sin(psi) * np.cos(phi)], axis=1)
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms < 1e-8):
-        raise AssertionError("regression surface vector vanished")  # impossible on T^2
-    return raw / norms[:, None]
+    return raw / np.linalg.norm(raw, axis=1)[:, None]
 
 
 def regression_fn(x: TorusPoint) -> np.ndarray:

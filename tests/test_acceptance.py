@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The first criterion runs
-the full desk-scale simulation study through the CLI and takes a few
-minutes; everything else is fast.
+the full desk-scale simulation study through the CLI and takes 40-50 s
+on 2 vCPUs; everything else is fast.
 """
 
 import json

@@ -315,6 +315,19 @@ def _malformed_cv_bandwidth(d):
             "--query", "0,0", "--out", str(d / "o.csv")], "bandwidths must be numbers"
 
 
+def _non_finite_dataset_angle(d):
+    (d / "data.csv").write_text("theta_1,theta_2,response\n0.1,0.2,1.5\ninf,0.4,2.5\n")
+    (d / "data.csv.space.json").write_text('{"kind":"scalar","lo":-10,"hi":10}')
+    return ["cv", "--data", str(d / "data.csv"), "--estimator", "lc",
+            "--out", str(d / "cv.json")], "data.csv row 2: non-finite angle"
+
+
+def _non_finite_query(d):
+    path, _ = write_scalar_dataset(d, np.arange(6.0))
+    return ["fit", "--data", str(path), "--estimator", "lc", "--bandwidth", "0.5,0.5",
+            "--query", "0,0", "--query", "0,nan", "--out", str(d / "o.csv")], "--query #2"
+
+
 def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner):
     # the sidecar names k = 2000 nodes; the payloads are 3 x 3 Laplacians
     rows = ["theta_1,theta_2,response"]
@@ -332,7 +345,8 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
 
 @pytest.mark.parametrize("case", [_malformed_object_response, _malformed_descriptor_field,
                                   _malformed_config_value, _missing_descriptor,
-                                  _malformed_cv_bandwidth])
+                                  _malformed_cv_bandwidth, _non_finite_dataset_angle,
+                                  _non_finite_query])
 def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, case):
     args, culprit = case(tmp_path)
     result = runner.invoke(main, args)

@@ -202,6 +202,10 @@ def test_local_linear_single_point_singular():
         local_linear_weights(m)
     with pytest.raises(SingularDesignError):
         local_linear_estimate(data, TorusPoint([0.0, 0.0]), BandwidthVector([0.5, 0.5]), VM)
+    # a batch in which every row fails: zero values, NaN sigma, no RuntimeWarning
+    fits = fit_queries(data, np.zeros((3, 2)), BandwidthVector([0.5, 0.5]), VM, "ll")
+    assert list(fits.cause) == ["singular"] * 3
+    assert np.isnan(fits.sigma).all() and not fits.values.any()
 
 
 def test_local_linear_weights_match_wls_hat_row():
