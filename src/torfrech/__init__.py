@@ -31,7 +31,6 @@ from .metric import (
     ScalarSpace,
     SphereSpace,
     WassersteinSpace,
-    distance,
     frechet_mean_oracle,
     isotonic_projection,
     space_from_json,
@@ -50,7 +49,7 @@ __all__ = [
     "ResponseSpace", "ScalarSpace", "SimConfig", "SimReport", "SingularDesignError",
     "SphereSpace", "TangentCoords", "TorfrechError", "TorusPoint",
     "UnsupportedOracleError", "WassersteinSpace", "canonicalize", "chart", "cos_gaps",
-    "cv_score", "distance", "frechet_mean_oracle", "inverse_chart",
+    "cv_score", "frechet_mean_oracle", "inverse_chart",
     "isotonic_projection", "kernel_moment", "kfold_split", "local_constant_estimate",
     "local_linear_estimate", "local_linear_weights", "local_moments", "mise",
     "regression_fn", "run_study", "sample_vmf", "scalar_kernel", "space_from_json",

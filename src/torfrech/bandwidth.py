@@ -93,12 +93,6 @@ class GridSpec:
                 "stage2_fraction": self.stage2_fraction,
                 "stage2_halfwidth": self.stage2_halfwidth}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GridSpec":
-        return cls(tuple(tuple(axis) for axis in obj["stage1"]),
-                   float(obj.get("stage2_fraction", 0.25)),
-                   int(obj.get("stage2_halfwidth", 2)))
-
 
 @dataclass
 class CVResult:

@@ -22,15 +22,10 @@ import numpy as np
 from .bandwidth import GridSpec, two_stage_search
 from .errors import DatasetFormatError, EmptyDatasetError, NumericalError, PayloadError
 from .frechet import Dataset, fit_queries, normalize_estimator
-from .io import load_dataset, load_space, read_trips, save_dataset, trips_to_dataset
+from .io import (load_dataset, load_space, read_trips, save_dataset, trips_to_dataset,
+                 write_json)
 from .kernels import BandwidthVector, KernelFamily
 from .simulate import SimConfig, run_study
-
-
-def _dump_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _cli_errors(fn):
@@ -179,7 +174,7 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
         "converged": bool(fits.ok[i]),
         "cause": str(fits.cause[i]),
     } for i in range(predictions.n)]
-    _dump_json(str(out) + ".diag.json", diagnostics)
+    write_json(str(out) + ".diag.json", diagnostics)
     if not fits.ok.all():
         i = int(np.argmin(fits.ok))
         click.echo(f"numerical failure at query row {i + 1}: {fits.error(i)}", err=True)
@@ -217,7 +212,7 @@ def cmd_cv(ctx, data, space_path, estimator, kernel, grid1, stage2_frac,
                         merged["stage2_halfwidth"])
     result = two_stage_search(dataset, fam, grid, k=merged["k"], seed=merged["seed"],
                               estimator=normalize_estimator(merged["estimator"]))
-    _dump_json(out, result.to_json())
+    write_json(out, result.to_json())
 
 
 @main.command("simulate")
@@ -247,7 +242,7 @@ def cmd_simulate(ctx, n, sigma, reps, seed, quad, grid1, estimators, kernel, out
         estimators=tuple(merged["estimators"].split(",")),
         kernel=KernelFamily.from_name(merged["kernel"]))
     report = run_study(sim_config)
-    _dump_json(out, report.to_json())
+    write_json(out, report.to_json())
     click.echo(f"wall clock: {report.wall_clock_s:.1f}s", err=True)
     for est, value in report.mise.items():
         shown = "n/a" if value is None else f"{value:.4f}"
@@ -290,7 +285,7 @@ def cmd_eval(pred, truth, space_path, out):
         raise click.UsageError(f"row counts differ: {pred_data.n} predictions vs "
                                f"{truth_data.n} truths")
     d2 = space.pairwise_dist2(pred_data.responses, truth_data.responses)
-    _dump_json(out, {"count": int(pred_data.n),
+    write_json(out, {"count": int(pred_data.n),
                      "mean_squared_distance": float(d2.mean()),
                      "max_squared_distance": float(d2.max())})
 

@@ -28,6 +28,13 @@ from .metric import GraphLaplacianSpace, ResponseSpace, space_from_json
 from .torus import TorusPoint
 
 
+def write_json(path, obj) -> None:
+    """Write a JSON file: sorted keys, indent 2, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def default_descriptor_path(csv_path: str) -> str:
     return str(csv_path) + ".space.json"
 
@@ -45,9 +52,7 @@ def save_dataset(path, dataset: Dataset, descriptor_path=None) -> None:
             payload = space.payload_to_json(dataset.responses[i])
             row.append(json.dumps(payload, separators=(",", ":")))
             writer.writerow(row)
-    with open(descriptor_path, "w") as fh:
-        json.dump(space.to_json(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(descriptor_path, space.to_json())
 
 
 def load_space(descriptor_path) -> ResponseSpace:
@@ -107,6 +112,15 @@ def load_dataset(path, space: ResponseSpace | None = None,
     return Dataset(space, np.asarray(angles), np.stack(payloads))
 
 
+def _check_trip_time(hour, day, doy_len) -> None:
+    if doy_len not in (365, 366):
+        raise ValueError(f"day-of-year length must be 365 or 366, got {doy_len}")
+    if not 0 <= int(hour) <= 23:
+        raise ValueError(f"hour must be in 0..23, got {hour}")
+    if not 1 <= int(day) <= doy_len:
+        raise ValueError(f"day must be in 1..{doy_len}, got {day}")
+
+
 @dataclass(frozen=True)
 class TripRecord:
     """One trip: timestamp components plus origin/destination regions (1-based)."""
@@ -118,12 +132,7 @@ class TripRecord:
     dest: int
 
     def __post_init__(self):
-        if self.doy_len not in (365, 366):
-            raise ValueError(f"day-of-year length must be 365 or 366, got {self.doy_len}")
-        if not 0 <= self.hour <= 23:
-            raise ValueError(f"hour must be in 0..23, got {self.hour}")
-        if not 1 <= self.day <= self.doy_len:
-            raise ValueError(f"day must be in 1..{self.doy_len}, got {self.day}")
+        _check_trip_time(self.hour, self.day, self.doy_len)
         if self.origin < 1 or self.dest < 1:
             raise ValueError("region indices are 1-based")
 
@@ -160,12 +169,7 @@ def encode_time_to_torus(i1: int, i2: int, doy_len: int) -> TorusPoint:
 
     Angles are 2*pi*(i1 + 0.5)/24 and 2*pi*(i2 - 0.5)/D, canonicalized.
     """
-    if doy_len not in (365, 366):
-        raise ValueError(f"day-of-year length must be 365 or 366, got {doy_len}")
-    if not 0 <= int(i1) <= 23:
-        raise ValueError(f"hour must be in 0..23, got {i1}")
-    if not 1 <= int(i2) <= doy_len:
-        raise ValueError(f"day must be in 1..{doy_len}, got {i2}")
+    _check_trip_time(i1, i2, doy_len)
     return TorusPoint([2.0 * math.pi * (i1 + 0.5) / 24.0,
                        2.0 * math.pi * (i2 - 0.5) / doy_len])
 

@@ -1,10 +1,13 @@
 """Scalar kernel families and the toroidal product kernel.
 
 The product kernel evaluates a nonincreasing profile L at the per-circle
-similarity gaps (1 - cos r)/h^2 and multiplies across circles. Three
-profiles are supported; the von Mises profile exp(-r) is the default
-throughout because it is strictly positive, so no neighborhood is ever
-empty. kernel_moment is quadrature tooling used by tests only.
+similarity gaps (1 - cos r)/h^2 and multiplies across circles. Each family
+is written once, as its penalty -log L(r): r for von Mises, sqrt(r) for
+exponential, and 0 on [0, 1], inf beyond it for uniform; L is exp(-penalty),
+and the product kernel is exp of minus the summed per-circle penalties. The
+von Mises profile exp(-r) is the default throughout because it is strictly
+positive, so no neighborhood is ever empty. kernel_moment is quadrature
+tooling used by tests only.
 """
 
 from __future__ import annotations
@@ -61,19 +64,23 @@ class BandwidthVector:
         return float(np.prod(self.h))
 
 
+def _penalty(kernel: KernelFamily, r: np.ndarray) -> np.ndarray:
+    """-log L(r) for r >= 0; a von Mises penalty is r itself."""
+    if kernel is KernelFamily.VON_MISES:
+        return r
+    if kernel is KernelFamily.EXPONENTIAL:
+        return np.sqrt(r)
+    if kernel is KernelFamily.UNIFORM:
+        return np.where(r <= 1.0, 0.0, np.inf)
+    raise ValueError(f"unhandled kernel family {kernel}")  # pragma: no cover
+
+
 def scalar_kernel(kernel: KernelFamily, r):
     """Evaluate the kernel profile L at r >= 0 (scalar or array)."""
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("kernel argument must be nonnegative")
-    if kernel is KernelFamily.VON_MISES:
-        out = np.exp(-arr)
-    elif kernel is KernelFamily.EXPONENTIAL:
-        out = np.exp(-np.sqrt(arr))
-    elif kernel is KernelFamily.UNIFORM:
-        out = (arr <= 1.0).astype(float)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unhandled kernel family {kernel}")
+    out = np.exp(-_penalty(kernel, arr))
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)
     return out
@@ -94,22 +101,13 @@ def gap_weights(kernel: KernelFamily, gaps: np.ndarray, hs: np.ndarray) -> np.nd
 
     gaps has shape (..., d) with entries 1 - cos(angle difference) and hs
     shape (C, d); returns the product kernel with shape (C, ...). The d
-    per-circle terms are added in axis order, one array pass per circle.
+    per-circle penalties are added in axis order, one array pass per circle.
     """
     hs = np.asarray(hs, dtype=float)
     hsq = (hs ** 2).reshape(hs.shape + (1,) * (gaps.ndim - 1))
-    if kernel is KernelFamily.UNIFORM:
-        out = np.ones((hs.shape[0],) + gaps.shape[:-1])
-        for axis in range(hs.shape[1]):
-            out *= gaps[..., axis] / hsq[:, axis] <= 1.0
-        return out
-    if kernel not in (KernelFamily.VON_MISES, KernelFamily.EXPONENTIAL):
-        raise ValueError(f"unhandled kernel family {kernel}")  # pragma: no cover
     out = None
     for axis in range(hs.shape[1]):
-        term = np.divide(gaps[..., axis], hsq[:, axis])
-        if kernel is KernelFamily.EXPONENTIAL:
-            np.sqrt(term, out=term)
+        term = _penalty(kernel, np.divide(gaps[..., axis], hsq[:, axis]))
         out = term if out is None else np.add(out, term, out=out)
     return np.exp(np.negative(out, out=out), out=out)
 

@@ -1,7 +1,10 @@
 """Response spaces: metric + weighted Fréchet mean for four geometries.
 
-A response space bundles a distance, payload validation, JSON encoding, a
-finite diameter bound, and a weighted Fréchet-mean solver. Weights may be
+A response space bundles a distance, payload validation, a finite diameter
+bound, and a weighted Fréchet-mean solver. Each space declares its JSON
+descriptor once, as (descriptor key, attribute) pairs in constructor order,
+which `space_from_json` reads; it inherits `to_json` and `payload_to_json`
+(a float for a 0-d payload, else a flat list of floats). Weights may be
 negative (the local linear estimator produces signed weights), so each
 solver is written to stay well-defined as long as the weights sum to a
 positive value:
@@ -70,6 +73,7 @@ class ResponseSpace(abc.ABC):
     """Contract shared by all response geometries."""
 
     kind: str
+    descriptor: tuple  # (descriptor key, attribute) pairs, in constructor order
 
     @abc.abstractmethod
     def validate(self, payload):
@@ -87,16 +91,18 @@ class ResponseSpace(abc.ABC):
     def _mean_batch(self, stacked: np.ndarray, weight_rows: np.ndarray):
         """Solve one mean per weight row; returns (values, iterations, converged)."""
 
-    @abc.abstractmethod
     def payload_to_json(self, payload):
-        ...
+        """A validated payload as JSON: a float if 0-d, else a flat list of floats."""
+        arr = np.asarray(self.validate(payload))
+        return float(arr) if arr.ndim == 0 else arr.ravel().tolist()
 
     def payload_from_json(self, obj):
         return self.validate(obj)
 
-    @abc.abstractmethod
     def to_json(self) -> dict:
         """Space descriptor as a JSON-compatible dict."""
+        return {"kind": self.kind,
+                **{key: getattr(self, attr) for key, attr in self.descriptor}}
 
     def distance(self, y1, y2) -> float:
         a, b = (np.asarray(self.validate(y))[None, ...] for y in (y1, y2))
@@ -162,10 +168,6 @@ def _weighted_average(values: np.ndarray, weight_rows: np.ndarray) -> np.ndarray
     return sums[:, 0] / weight_rows.sum(axis=1)[:, None]
 
 
-def distance(space: ResponseSpace, y1, y2) -> float:
-    return space.distance(y1, y2)
-
-
 def isotonic_projection(values) -> np.ndarray:
     """Euclidean projection onto nondecreasing sequences (pool adjacent violators)."""
     v = np.atleast_1d(np.asarray(values, dtype=float))
@@ -194,6 +196,7 @@ class ScalarSpace(ResponseSpace):
     """Real line with caller-declared bounds (used only to report a diameter)."""
 
     kind = "scalar"
+    descriptor = (("lo", "lo"), ("hi", "hi"))
 
     def __init__(self, lo: float, hi: float):
         lo, hi = float(lo), float(hi)
@@ -221,17 +224,12 @@ class ScalarSpace(ResponseSpace):
         q = weight_rows.shape[0]
         return vals, np.zeros(q, dtype=int), np.ones(q, dtype=bool)
 
-    def payload_to_json(self, payload):
-        return self.validate(payload)
-
-    def to_json(self):
-        return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
-
 
 class SphereSpace(ResponseSpace):
     """Unit sphere in R^{p+1} with the geodesic (arc) distance."""
 
     kind = "sphere"
+    descriptor = (("p", "p"),)
 
     def __init__(self, p: int):
         if int(p) < 1:
@@ -352,12 +350,6 @@ class SphereSpace(ResponseSpace):
             slope[rows] = np.einsum("rm,rm->r", g, v) + cone * np.linalg.norm(v, axis=1)
         return y, iters, converged
 
-    def payload_to_json(self, payload):
-        return [float(v) for v in self.validate(payload)]
-
-    def to_json(self):
-        return {"kind": self.kind, "p": self.p}
-
 
 class WassersteinSpace(ResponseSpace):
     """Distributions on [a, b] as quantile vectors at levels (i - 0.5)/G.
@@ -367,6 +359,7 @@ class WassersteinSpace(ResponseSpace):
     """
 
     kind = "wasserstein"
+    descriptor = (("grid", "grid_size"), ("a", "a"), ("b", "b"))
 
     def __init__(self, grid_size: int, a: float, b: float):
         if int(grid_size) < 2:
@@ -411,12 +404,6 @@ class WassersteinSpace(ResponseSpace):
         q = weight_rows.shape[0]
         return avg, np.zeros(q, dtype=int), np.ones(q, dtype=bool)
 
-    def payload_to_json(self, payload):
-        return [float(v) for v in self.validate(payload)]
-
-    def to_json(self):
-        return {"kind": self.kind, "grid": self.grid_size, "a": self.a, "b": self.b}
-
 
 def _least_objective(cands: np.ndarray, t: np.ndarray, inc: np.ndarray) -> np.ndarray:
     """Per row of the (rows, S, E) edge-weight candidates, the one nearest L(t) in
@@ -446,6 +433,7 @@ class GraphLaplacianSpace(ResponseSpace):
     """
 
     kind = "graph_laplacian"
+    descriptor = (("k", "n_nodes"), ("c_w", "c_w"))
 
     def __init__(self, n_nodes: int, c_w: float):
         if int(n_nodes) < 2:
@@ -470,12 +458,15 @@ class GraphLaplacianSpace(ResponseSpace):
             raise PayloadError(f"Laplacian payload must be {k}x{k}, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise PayloadError("Laplacian payload must be finite")
-        if np.max(np.abs(arr - arr.T)) > 1e-9:
+        # entries are sums of up to k edge weights in [0, C_w], so rounding grows with C_w
+        tol = 1e-9 * max(1.0, self.c_w)
+        if np.max(np.abs(arr - arr.T)) > tol:
             raise PayloadError("Laplacian payload must be symmetric")
-        if np.max(np.abs(arr.sum(axis=1))) > 1e-9:
-            raise PayloadError("Laplacian payload must have zero row sums (within 1e-9)")
+        if np.max(np.abs(arr.sum(axis=1))) > tol:
+            raise PayloadError("Laplacian payload must have zero row sums "
+                               "(within 1e-9 * max(1, c_w))")
         off = arr[~np.eye(k, dtype=bool)]
-        if np.any(off > 1e-9) or np.any(off < -self.c_w - 1e-9):
+        if np.any(off > tol) or np.any(off < -self.c_w - tol):
             raise PayloadError(f"Laplacian off-diagonals must lie in [-{self.c_w}, 0]")
         return arr
 
@@ -543,16 +534,9 @@ class GraphLaplacianSpace(ResponseSpace):
         edges[rows] = w
         return self.edge_weights_to_laplacian(edges), iters, converged
 
-    def payload_to_json(self, payload):
-        return [float(v) for v in self.validate(payload).ravel()]
 
-    def to_json(self):
-        return {"kind": self.kind, "k": self.n_nodes, "c_w": self.c_w}
-
-
-_SPACE_FIELDS = {"scalar": (ScalarSpace, ("lo", "hi")), "sphere": (SphereSpace, ("p",)),
-                 "wasserstein": (WassersteinSpace, ("grid", "a", "b")),
-                 "graph_laplacian": (GraphLaplacianSpace, ("k", "c_w"))}
+_SPACES = {cls.kind: cls for cls in (ScalarSpace, SphereSpace, WassersteinSpace,
+                                      GraphLaplacianSpace)}
 
 
 def space_from_json(obj: dict) -> ResponseSpace:
@@ -560,10 +544,10 @@ def space_from_json(obj: dict) -> ResponseSpace:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("space descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _SPACE_FIELDS:
+    if not isinstance(kind, str) or kind not in _SPACES:
         raise ValueError(f"unknown space kind {kind!r}")
-    cls, fields = _SPACE_FIELDS[kind]
-    for name in fields:
+    cls = _SPACES[kind]
+    for name, _ in cls.descriptor:
         if name not in obj:
             raise ValueError(f"space descriptor for {kind!r} is missing field {name!r}")
         value = obj[name]
@@ -571,7 +555,7 @@ def space_from_json(obj: dict) -> ResponseSpace:
         if isinstance(value, bool) or not finite:
             raise ValueError(f"space descriptor field {name!r} must be a finite number, "
                              f"got {value!r}")
-    return cls(*(obj[name] for name in fields))
+    return cls(*(obj[name] for name, _ in cls.descriptor))
 
 
 def _sphere_grid(resolution: float) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .bandwidth import GridSpec, two_stage_search
 from .errors import NumericalError
 from .frechet import Dataset, fit_queries, normalize_estimator
-from .kernels import BandwidthVector, KernelFamily
+from .kernels import KernelFamily
 from .metric import SphereSpace
 from .parallel import process_map
 from .torus import TorusPoint
@@ -64,15 +64,6 @@ class SimConfig:
                 "grid": self.grid.to_json(), "quad_per_axis": self.quad_per_axis,
                 "estimators": list(self.estimators), "kernel": self.kernel.value,
                 "cv_folds": self.cv_folds}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SimConfig":
-        return cls(n=int(obj["n"]), sigma=float(obj["sigma"]), reps=int(obj["reps"]),
-                   seed=int(obj["seed"]), grid=GridSpec.from_json(obj["grid"]),
-                   quad_per_axis=int(obj.get("quad_per_axis", 50)),
-                   estimators=tuple(obj.get("estimators", ["lc", "ll"])),
-                   kernel=KernelFamily.from_name(obj.get("kernel", "vonmises")),
-                   cv_folds=int(obj.get("cv_folds", 5)))
 
 
 @dataclass

@@ -52,8 +52,6 @@ def test_grid_spec_validation():
     grid = GridSpec.uniform(2, 0.1, 1.0, 10)
     assert grid.dim == 2
     assert len(grid.stage1_candidates()) == 100
-    rebuilt = GridSpec.from_json(grid.to_json())
-    assert rebuilt == grid
 
 
 def test_cv_score_constant_responses_is_zero():

@@ -6,11 +6,12 @@ import pytest
 from torfrech.kernels import (
     BandwidthVector,
     KernelFamily,
+    gap_weights,
     kernel_moment,
     scalar_kernel,
     toroidal_weight,
 )
-from torfrech.torus import TorusPoint
+from torfrech.torus import TorusPoint, cos_gaps
 
 ALL_FAMILIES = [KernelFamily.VON_MISES, KernelFamily.EXPONENTIAL, KernelFamily.UNIFORM]
 
@@ -78,6 +79,24 @@ def test_toroidal_weight_values():
     z2 = TorusPoint([math.pi, 1.0])
     assert toroidal_weight(KernelFamily.VON_MISES, x2, z2, h2) == \
         pytest.approx(math.exp(-2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gap_weights_match_toroidal_weight(fam, d):
+    rng = np.random.default_rng(60 + d)
+    hs = rng.uniform(0.2, 1.5, size=(4, d))
+    pairs = [tuple(TorusPoint(rng.uniform(-math.pi, math.pi, size=d)) for _ in range(2))
+             for _ in range(40)]
+    batch = gap_weights(fam, np.array([cos_gaps(x, z) for x, z in pairs]), hs)
+    ref = np.array([[toroidal_weight(fam, x, z, BandwidthVector(h)) for x, z in pairs]
+                    for h in hs])
+    if fam is KernelFamily.UNIFORM:
+        assert 0.0 < ref.mean() < 1.0  # points inside and outside the support
+        assert np.array_equal(batch, ref)
+    else:
+        # exp of the summed penalties against the product of per-circle exps
+        np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)
 
 
 def test_toroidal_weight_dim_mismatch():

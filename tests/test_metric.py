@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torfrech
 from torfrech import metric
 from torfrech.errors import DegenerateWeightsError, PayloadError, UnsupportedOracleError
 from torfrech.frechet import Dataset, QueryBatch
@@ -517,12 +518,22 @@ def test_oracle_scalar_and_singleton_examples():
 
 def test_json_codecs_round_trip():
     rng = np.random.default_rng(107)
-    for space in (SCALAR, SPHERE, WASS, LAP):
+    descriptors = [{"kind": "scalar", "lo": -10.0, "hi": 10.0}, {"kind": "sphere", "p": 2},
+                   {"kind": "wasserstein", "grid": 8, "a": 0.0, "b": 1.0},
+                   {"kind": "graph_laplacian", "k": 3, "c_w": 4.0}]
+    for space, descriptor in zip((SCALAR, SPHERE, WASS, LAP), descriptors):
+        # exact keys, values and value types (an int field must not turn float)
+        assert [(k, type(v), v) for k, v in sorted(space.to_json().items())] == \
+            [(k, type(v), v) for k, v in sorted(descriptor.items())]
         rebuilt = space_from_json(space.to_json())
         assert rebuilt.to_json() == space.to_json()
         p = random_payload(space, rng)
         back = rebuilt.payload_from_json(space.payload_to_json(p))
         assert space.distance(p, back) <= 1e-12
+
+
+def test_every_package_export_resolves():
+    assert [name for name in torfrech.__all__ if not hasattr(torfrech, name)] == []
 
 
 def test_space_from_json_errors():
@@ -542,6 +553,20 @@ def test_payload_json_round_trip_is_bitwise(space, seed):
     assert np.asarray(back).dtype == np.asarray(p).dtype
     assert np.array_equal(back, p)
     assert np.asarray(back).tobytes() == np.asarray(p).tobytes()
+
+
+@pytest.mark.parametrize("c_w", [1e6, 2.0 ** 20])
+def test_laplacian_validation_tolerance_scales_with_the_edge_weight_cap(c_w):
+    # a diagonal sums 12 edge weights of size c_w, so its rounding exceeds 1e-9
+    space = GraphLaplacianSpace(13, c_w)
+    edges = np.random.default_rng(int(c_w)).uniform(0.0, c_w, size=(200, 78))
+    laps = space.edge_weights_to_laplacian(edges)
+    for lap in laps:
+        space.validate(lap)
+    bad = laps[0].copy()
+    bad[0, 0] += c_w * 1e-6
+    with pytest.raises(PayloadError, match="row sums"):
+        space.validate(bad)
 
 
 def test_laplacian_descriptor_costs_no_memory_quadratic_in_k():

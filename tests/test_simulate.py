@@ -120,7 +120,6 @@ def test_sim_config_validation():
         SimConfig(n=50, sigma=0.1, reps=0, seed=0)
     with pytest.raises(ValueError):
         SimConfig(n=50, sigma=0.1, reps=1, seed=0, quad_per_axis=5)
-    assert SimConfig.from_json(good.to_json()) == good
 
 
 def test_run_study_deterministic():
