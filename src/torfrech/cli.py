@@ -257,13 +257,7 @@ def cmd_simulate(ctx, n, sigma, reps, seed, quad, grid1, estimators, kernel, out
 @_cli_errors
 def cmd_ingest_network(trips, n_nodes, cw, out):
     """Aggregate trip records into a graph-Laplacian dataset."""
-    records = read_trips(trips, n_nodes)
-    if not records:
-        click.echo("warning: no trips; writing an empty dataset", err=True)
-        with open(out, "w") as fh:
-            fh.write("theta_1,theta_2,response\n")
-        return
-    dataset = trips_to_dataset(records, n_nodes, cw)
+    dataset = trips_to_dataset(read_trips(trips, n_nodes), n_nodes, cw)
     save_dataset(out, dataset)
     click.echo(f"wrote {dataset.n} Laplacians "
                f"(c_w = {dataset.space.c_w})", err=True)

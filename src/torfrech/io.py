@@ -6,9 +6,11 @@ response space travels in a JSON sidecar descriptor. Floats are written with
 repr so a save/load round trip is lossless.
 
 Trip records (hour of day, day of year, origin/destination region) aggregate
-into one graph Laplacian per (hour, day) group: per-group symmetric counts of
-trips between region pairs in either direction, self-loops dropped, clipped
-at the edge-weight cap.
+in `trips_to_dataset` into a graph-Laplacian Dataset, one row per (hour, day)
+group in sorted key order: per-group symmetric counts of trips between region
+pairs in either direction, self-loops dropped, clipped at the edge-weight cap,
+built in one batch under a single GraphLaplacianSpace. A trips file without
+rows is an EmptyDatasetError, like a dataset file without rows.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-
-from collections import defaultdict
 
 import numpy as np
 
@@ -141,7 +141,7 @@ TRIPS_HEADER = ["hour", "day", "doy_len", "origin", "dest"]
 
 
 def read_trips(path, n_nodes: int) -> list:
-    """Parse a trips CSV (header hour,day,doy_len,origin,dest)."""
+    """Parse a trips CSV (header hour,day,doy_len,origin,dest) with at least one row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -161,6 +161,8 @@ def read_trips(path, n_nodes: int) -> list:
                 raise DatasetFormatError(
                     f"{path} row {rownum}: region index out of range 1..{n_nodes}")
             trips.append(rec)
+    if not trips:
+        raise EmptyDatasetError(f"{path}: no trip rows")
     return trips
 
 
@@ -174,39 +176,28 @@ def encode_time_to_torus(i1: int, i2: int, doy_len: int) -> TorusPoint:
                        2.0 * math.pi * (i2 - 0.5) / doy_len])
 
 
-def build_laplacians(trips, n_nodes: int, c_w: float | None = None):
-    """Aggregate trips into one (torus point, graph Laplacian) pair per group.
+def trips_to_dataset(trips, n_nodes: int, c_w: float | None = None) -> Dataset:
+    """Aggregate trips into one graph Laplacian per (hour, day, doy_len) group.
 
-    Groups are (hour, day, doy_len); within a group the undirected edge count
-    sums trips in both directions, drops self-loops, and is clipped at c_w.
-    When c_w is None the maximum observed count is used (no clipping).
-    Returns (pairs sorted by group key, effective c_w).
+    Within a group the undirected edge count sums trips in both directions,
+    drops self-loops (a group of self-loops alone is the empty graph) and is
+    clipped at c_w; when c_w is None the maximum observed count is used (no
+    clipping). Rows follow the sorted group keys (doy_len, day, hour).
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 regions")
-    groups = defaultdict(lambda: np.zeros((n_nodes, n_nodes)))
-    for rec in trips:
-        counts = groups[(rec.doy_len, rec.day, rec.hour)]
-        if rec.origin == rec.dest:
-            continue  # no self-loops, but the group still exists (empty graph)
-        counts[rec.origin - 1, rec.dest - 1] += 1.0
-    weights = {key: counts + counts.T for key, counts in groups.items()}
-    if c_w is None:
-        observed = max((float(w.max()) for w in weights.values()), default=0.0)
-        c_w = observed if observed > 0.0 else 1.0
-    space = GraphLaplacianSpace(n_nodes, c_w)
-    pairs = []
-    for key in sorted(weights):
-        doy_len, day, hour = key
-        lap = space.edge_weights_to_laplacian(np.clip(weights[key][space._iu], 0.0, c_w))
-        pairs.append((encode_time_to_torus(hour, day, doy_len), lap))
-    return pairs, float(c_w)
-
-
-def trips_to_dataset(trips, n_nodes: int, c_w: float | None = None) -> Dataset:
-    """build_laplacians wrapped into a Dataset with the matching space."""
-    pairs, cap = build_laplacians(trips, n_nodes, c_w)
-    if not pairs:
+    rows = [((rec.doy_len, rec.day, rec.hour), rec.origin - 1, rec.dest - 1) for rec in trips]
+    keys = sorted({key for key, _, _ in rows})
+    if not keys:
         raise EmptyDatasetError("no trip groups to aggregate")
-    space = GraphLaplacianSpace(n_nodes, cap)
-    return Dataset.from_payloads(space, [p for p, _ in pairs], [l for _, l in pairs])
+    group = {key: g for g, key in enumerate(keys)}
+    counts = np.zeros((len(keys), n_nodes, n_nodes))
+    np.add.at(counts, tuple(np.array([(group[key], o, d) for key, o, d in rows]).T), 1.0)
+    iu, ju = np.triu_indices(n_nodes, 1)
+    edges = counts[:, iu, ju] + counts[:, ju, iu]  # self-loops sit on the unread diagonal
+    if c_w is None:
+        c_w = float(edges.max()) or 1.0  # an edgeless sample still needs a positive cap
+    space = GraphLaplacianSpace(n_nodes, c_w)
+    angles = [encode_time_to_torus(hour, day, doy_len).angles for doy_len, day, hour in keys]
+    return Dataset(space, np.array(angles),
+                   space.edge_weights_to_laplacian(np.minimum(edges, space.c_w)))

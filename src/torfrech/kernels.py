@@ -59,10 +59,6 @@ class BandwidthVector:
     def dim(self) -> int:
         return self.h.size
 
-    def product(self) -> float:
-        """rho(h): the product of the per-circle bandwidths."""
-        return float(np.prod(self.h))
-
 
 def _penalty(kernel: KernelFamily, r: np.ndarray) -> np.ndarray:
     """-log L(r) for r >= 0; a von Mises penalty is r itself."""

@@ -371,9 +371,6 @@ class WassersteinSpace(ResponseSpace):
         self.a = a
         self.b = b
 
-    def levels(self) -> np.ndarray:
-        return (np.arange(self.grid_size) + 0.5) / self.grid_size
-
     def validate(self, payload):
         arr = _float_array(payload)
         if arr.shape != (self.grid_size,):

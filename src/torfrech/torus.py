@@ -112,17 +112,3 @@ def cos_gaps(x: TorusPoint, z: TorusPoint) -> np.ndarray:
     """
     _check_dims(x.dim, z.dim)
     return np.clip(1.0 - np.cos(z.angles - x.angles), 0.0, 2.0)
-
-
-def rotation_frame(x: TorusPoint) -> np.ndarray:
-    """The 2d-by-d block-diagonal frame with blocks R x_l (quarter-turned circle vectors).
-
-    Satisfies frame.T @ frame == identity.
-    """
-    d = x.dim
-    frame = np.zeros((2 * d, d))
-    cols = np.arange(d)
-    frame[2 * cols, cols] = -np.sin(x.angles)
-    frame[2 * cols + 1, cols] = np.cos(x.angles)
-    return frame
-

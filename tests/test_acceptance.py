@@ -23,7 +23,7 @@ from torfrech.frechet import (
     local_linear_weights,
     local_moments,
 )
-from torfrech.io import TripRecord, build_laplacians, save_dataset
+from torfrech.io import TripRecord, save_dataset, trips_to_dataset
 from torfrech.kernels import BandwidthVector, KernelFamily, kernel_moment
 from torfrech.metric import (
     GraphLaplacianSpace,
@@ -235,9 +235,10 @@ def test_criterion_8_laplacian_validity():
     trips = [TripRecord(int(rng.integers(0, 24)), int(rng.integers(1, 366)), 365,
                         int(rng.integers(1, 14)), int(rng.integers(1, 14)))
              for _ in range(2000)]
-    pairs, cap = build_laplacians(trips, 13)
+    data = trips_to_dataset(trips, 13)
+    cap = data.space.c_w
     space13 = GraphLaplacianSpace(13, cap)
-    for _, lap in pairs:
+    for lap in data.responses:
         space13.validate(lap)
         assert np.array_equal(lap, lap.T)  # exact symmetry
         off = lap[~np.eye(13, dtype=bool)]
@@ -256,7 +257,7 @@ def test_criterion_8_laplacian_validity():
         off = mean[~np.eye(3, dtype=bool)]
         assert np.all(off <= 0.0) and np.all(off >= -4.0)
         assert np.max(np.abs(mean.sum(axis=1))) <= 1e-9
-    _ok(f"criterion 8 PASS: {len(pairs)} ingested Laplacians and 30 Fréchet "
+    _ok(f"criterion 8 PASS: {data.n} ingested Laplacians and 30 Fréchet "
         f"means satisfy all invariants")
 
 

@@ -222,9 +222,9 @@ def test_ingest_network_toy_and_empty(tmp_path, runner):
     out2 = tmp_path / "net2.csv"
     result = runner.invoke(main, ["ingest-network", "--trips", str(empty),
                                   "--k", "2", "--out", str(out2)])
-    assert result.exit_code == 0
-    assert "warning" in result.output
-    assert out2.read_text().strip() == "theta_1,theta_2,response"
+    assert result.exit_code == 2, result.output
+    assert "none.csv" in result.output
+    assert not out2.exists()
 
 
 def test_ingest_network_k13_reload_validates(tmp_path, runner):
@@ -299,13 +299,16 @@ def _malformed_config_value(d):
 
 
 def _missing_descriptor(d):
-    # an empty trips file ingests to a header-only dataset with no sidecar
-    (d / "trips.csv").write_text("hour,day,doy_len,origin,dest\n")
-    result = CliRunner().invoke(main, ["ingest-network", "--trips", str(d / "trips.csv"),
-                                       "--k", "2", "--out", str(d / "net.csv")])
-    assert result.exit_code == 0
-    return ["cv", "--data", str(d / "net.csv"), "--estimator", "lc",
+    path, _ = write_scalar_dataset(d, np.arange(6.0), name="net.csv")
+    Path(str(path) + ".space.json").unlink()
+    return ["cv", "--data", str(path), "--estimator", "lc",
             "--out", str(d / "cv.json")], "net.csv.space.json"
+
+
+def _header_only_trips(d):
+    (d / "trips.csv").write_text("hour,day,doy_len,origin,dest\n")
+    return ["ingest-network", "--trips", str(d / "trips.csv"), "--k", "2",
+            "--out", str(d / "net.csv")], "trips.csv: no trip rows"
 
 
 def _malformed_cv_bandwidth(d):
@@ -345,8 +348,8 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
 
 @pytest.mark.parametrize("case", [_malformed_object_response, _malformed_descriptor_field,
                                   _malformed_config_value, _missing_descriptor,
-                                  _malformed_cv_bandwidth, _non_finite_dataset_angle,
-                                  _non_finite_query])
+                                  _header_only_trips, _malformed_cv_bandwidth,
+                                  _non_finite_dataset_angle, _non_finite_query])
 def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, case):
     args, culprit = case(tmp_path)
     result = runner.invoke(main, args)

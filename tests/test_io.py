@@ -8,7 +8,6 @@ from torfrech.errors import DatasetFormatError, EmptyDatasetError, PayloadError
 from torfrech.frechet import Dataset
 from torfrech.io import (
     TripRecord,
-    build_laplacians,
     encode_time_to_torus,
     load_dataset,
     read_trips,
@@ -108,34 +107,60 @@ def test_encode_time_injective():
                 seen.add(key)
 
 
-def test_build_laplacians_examples():
+def test_trips_to_dataset_examples():
     trips = [TripRecord(3, 10, 365, 1, 2), TripRecord(3, 10, 365, 2, 1),
              TripRecord(3, 10, 365, 1, 2)]
-    pairs, cap = build_laplacians(trips, 2)
-    assert len(pairs) == 1
-    point, lap = pairs[0]
-    assert np.array_equal(lap, [[3.0, -3.0], [-3.0, 3.0]])
-    assert cap == 3.0
+    data = trips_to_dataset(trips, 2)
+    assert data.n == 1
+    assert np.array_equal(data.responses[0], [[3.0, -3.0], [-3.0, 3.0]])
+    assert data.space.c_w == 3.0
     expected = encode_time_to_torus(3, 10, 365)
-    assert np.allclose(point.angles, expected.angles)
+    assert np.allclose(data.angles[0], expected.angles)
 
 
-def test_build_laplacians_self_loops_dropped():
+def test_trips_to_dataset_self_loops_dropped():
     trips = [TripRecord(0, 1, 365, 1, 1), TripRecord(0, 1, 365, 2, 2)]
-    pairs, cap = build_laplacians(trips, 2)
-    assert len(pairs) == 1
-    assert np.array_equal(pairs[0][1], np.zeros((2, 2)))  # empty graph is valid
-    assert cap == 1.0
+    data = trips_to_dataset(trips, 2)
+    assert data.n == 1
+    assert np.array_equal(data.responses[0], np.zeros((2, 2)))  # empty graph is valid
+    assert data.space.c_w == 1.0
 
 
-def test_build_laplacians_clipping():
+def test_trips_to_dataset_clipping():
     trips = [TripRecord(1, 2, 365, 1, 2)] * 8
-    pairs, cap = build_laplacians(trips, 2, c_w=5.0)
-    assert cap == 5.0
-    assert np.array_equal(pairs[0][1], [[5.0, -5.0], [-5.0, 5.0]])
+    data = trips_to_dataset(trips, 2, c_w=5.0)
+    assert data.space.c_w == 5.0
+    assert np.array_equal(data.responses[0], [[5.0, -5.0], [-5.0, 5.0]])
 
 
-def test_build_laplacians_outputs_validate():
+@pytest.mark.parametrize("c_w", [None, 2.0])
+def test_trips_to_dataset_matches_per_trip_reference(c_w):
+    # repeated groups across both year lengths, both directions and self-loops
+    rng = np.random.default_rng(63)
+    k = 5
+    keys = [(int(rng.integers(0, 24)), int(rng.integers(1, 366)), int(rng.choice([365, 366])))
+            for _ in range(7)]
+    trips = [TripRecord(*keys[rng.integers(len(keys))], int(rng.integers(1, k + 1)),
+                        int(rng.integers(1, k + 1))) for _ in range(300)]
+    counts = {}
+    for rec in trips:
+        a = counts.setdefault((rec.doy_len, rec.day, rec.hour), np.zeros((k, k)))
+        if rec.origin != rec.dest:
+            a[rec.origin - 1, rec.dest - 1] += 1.0
+    observed = max(float((a + a.T).max()) for a in counts.values())
+    assert observed > 2.0  # so the cap c_w = 2 clips some edges
+    cap = observed if c_w is None else c_w
+    data = trips_to_dataset(trips, k, c_w)
+    assert data.space.c_w == cap
+    assert data.n == len(counts) == len(set(keys))
+    for i, (doy_len, day, hour) in enumerate(sorted(counts)):
+        a = counts[doy_len, day, hour]
+        w = np.minimum(a + a.T, cap)
+        assert np.array_equal(data.responses[i], np.diag(w.sum(axis=1)) - w)
+        assert np.array_equal(data.angles[i], encode_time_to_torus(hour, day, doy_len).angles)
+
+
+def test_trips_to_dataset_outputs_validate():
     rng = np.random.default_rng(61)
     trips = [TripRecord(int(rng.integers(0, 24)), int(rng.integers(1, 366)), 365,
                         int(rng.integers(1, 14)), int(rng.integers(1, 14)))

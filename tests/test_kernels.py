@@ -41,7 +41,6 @@ def test_kernel_family_names():
 def test_bandwidth_vector_validation():
     h = BandwidthVector([0.5, 1.5])
     assert h.dim == 2
-    assert h.product() == pytest.approx(0.75)
     with pytest.raises(ValueError):
         BandwidthVector([0.5, 0.0])
     with pytest.raises(ValueError):

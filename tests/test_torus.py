@@ -10,7 +10,6 @@ from torfrech.torus import (
     chart,
     cos_gaps,
     inverse_chart,
-    rotation_frame,
 )
 
 
@@ -108,14 +107,6 @@ def test_embedded_chart_identity():
         rot = np.stack([-ex[:, 1], ex[:, 0]], axis=1)
         expected = ex * np.cos(t.theta)[:, None] + rot * np.sin(t.theta)[:, None]
         assert np.allclose(z.embed().reshape(2, 2), expected, atol=1e-12)
-
-
-def test_frame_orthonormality():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        x = TorusPoint(rng.uniform(-math.pi, math.pi, size=3))
-        frame = rotation_frame(x)
-        assert np.allclose(frame.T @ frame, np.eye(3), atol=1e-12)
 
 
 def test_shift_equivariance_exact_on_dyadics():
