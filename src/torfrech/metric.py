@@ -12,8 +12,12 @@ positive value:
 * scalars: the weighted average (`_weighted_average`, shared by the flat spaces);
 * spheres: Riemannian Newton (closed-form Hessian, eigenvalues in absolute
   value) with an Armijo line search along geodesics, from the best of a few
-  deterministic start points, scored one start at a time in the solver's
-  row x observation work arrays;
+  deterministic start points (the extrinsic mean, the highest-weighted samples
+  and the antipodes of the lowest-weighted ones, picked by repeated argmin with
+  ties going to the lowest sample index), scored one start at a time in the
+  solver's row x observation work arrays; on S^2 the step |H|^-1 g has a closed
+  form on the tangent plane (`_s2_abs_newton_step`), and other p use `eigh` of
+  the ambient Hessian;
 * distributions on an interval (quantile grid): the weighted average of the
   quantile vectors, projected onto the nondecreasing cone;
 * graph Laplacians: the weighted average of the edge-weight vectors, projected
@@ -130,8 +134,9 @@ class ResponseSpace(abc.ABC):
         values = np.zeros((weight_rows.shape[0],) + stacked.shape[1:])
         iterations = np.zeros(weight_rows.shape[0], dtype=int)
         converged = np.zeros(weight_rows.shape[0], dtype=bool)
-        if np.any(ok):
-            vals, iters, conv = self._mean_batch(stacked, weight_rows[ok])
+        if np.any(ok):  # no copy of the weight rows when every row is solvable
+            vals, iters, conv = self._mean_batch(
+                stacked, weight_rows if ok.all() else weight_rows[ok])
             values[ok] = vals
             iterations[ok] = iters
             converged[ok] = conv
@@ -225,6 +230,30 @@ class ScalarSpace(ResponseSpace):
         return vals, np.zeros(q, dtype=int), np.ones(q, dtype=bool)
 
 
+def _s2_abs_newton_step(y, radial, excess, g, floor):
+    """|H|^-1 g on the tangent plane of S^2 at y, where H = 2 (radial P + P M P),
+    P = I - y y', M = excess (rows, 3, 3) symmetric, g tangent, and |H| takes H's
+    two tangent eigenvalues in absolute value, floored at floor.
+
+    On the plane H = (tau/2) P + D with D = 2 P M P - tr(P M P) P traceless, so D
+    has eigenvalues +-r and D^2 = r^2 P, which gives r = |Dg| / |g| for any tangent
+    g. Then |H|^-1 g = (f1 + f2)/2 g + (f2 - f1)/2 Dg / r with f1,2 = 1 / max(|tau/2
+    -+ r|, floor), Dg / r taken as 0 when r = 0: no basis and no eigensolver.
+    """
+    g = g - np.einsum("rm,rm->r", y, g)[:, None] * y  # M amplifies any normal part left in g
+    mv = excess @ np.stack((y, g), axis=2)  # M y, M g
+    t = np.einsum("rii->r", excess) - np.einsum("rm,rm->r", y, mv[:, :, 0])  # tr(P M P)
+    dg = 2.0 * mv[:, :, 1] - t[:, None] * g
+    dg -= np.einsum("rm,rm->r", y, dg)[:, None] * y  # D g = P (2 M g - t g)
+    g_norm, dg_norm = (np.sqrt(np.einsum("rm,rm->r", u, u)) for u in (g, dg))
+    r = np.divide(dg_norm, g_norm, out=np.zeros_like(g_norm), where=g_norm > 0.0)
+    f = 1.0 / np.maximum(np.abs((2.0 * radial + t)[:, None] + r[:, None] * (-1.0, 1.0)),
+                         floor[:, None])
+    along = np.divide((f[:, 1] - f[:, 0]) * g_norm, dg_norm, out=np.zeros_like(g_norm),
+                      where=dg_norm > 0.0)
+    return 0.5 * (f.sum(axis=1)[:, None] * g + along[:, None] * dg)
+
+
 class SphereSpace(ResponseSpace):
     """Unit sphere in R^{p+1} with the geodesic (arc) distance."""
 
@@ -259,19 +288,25 @@ class SphereSpace(ResponseSpace):
         (q, n), m = w.shape, pts.shape[1]
         scale = np.abs(w).sum(axis=1)
         outer = np.einsum("ni,nj->nij", pts, pts).reshape(n, m * m)
-        # Start from the best of the normalised extrinsic mean, the highest-weighted
-        # samples and the antipodes of the most negatively weighted ones.
-        top = min(_SPHERE_START_SAMPLES, n)
-        # copies, so the full (q, n) index arrays do not live through the solve
-        low, high = (np.argpartition(v, top - 1, axis=1)[:, :top].copy() for v in (w, -w))
-        ext = w @ pts
-        ext_norm = np.linalg.norm(ext, axis=1)
-        cands = np.concatenate([(ext / np.maximum(ext_norm, 1e-300)[:, None])[:, None],
-                                pts[high], -pts[low]], axis=1)
         # Row x observation work arrays, reused through views of their leading rows:
         # no step allocates anything of size n (no allocator churn, no page faults).
         s_buf, d_buf, t_buf, a_buf, w_buf = (np.empty((q, n)) for _ in range(5))
         near_buf, tip_buf = (np.empty((q, n), dtype=bool) for _ in range(2))
+        # Start from the best of the normalised extrinsic mean, the highest-weighted
+        # samples and the antipodes of the most negatively weighted ones, picked by
+        # repeated argmin (ties go to the lowest index).
+        top = min(_SPHERE_START_SAMPLES, n)
+        picks, all_rows = np.empty((2, top, q), dtype=int), np.arange(q)
+        for order, sign in zip(picks, (-1.0, 1.0)):  # highest weights, then lowest
+            key = np.multiply(w, sign, out=s_buf)
+            for j in range(top):
+                order[j] = np.argmin(key, axis=1)
+                key[all_rows, order[j]] = np.inf
+        high, low = picks[0].T, picks[1].T
+        ext = w @ pts
+        ext_norm = np.linalg.norm(ext, axis=1)
+        cands = np.concatenate([(ext / np.maximum(ext_norm, 1e-300)[:, None])[:, None],
+                                pts[high], -pts[low]], axis=1)
         cand_f = np.empty(cands.shape[:2])
         for j in range(cands.shape[1]):  # one start column at a time, in the work arrays
             d = np.arccos(np.clip(np.matmul(cands[:, j], pts.T, out=s_buf), -1.0, 1.0,
@@ -279,7 +314,7 @@ class SphereSpace(ResponseSpace):
             cand_f[:, j] = np.einsum("qn,qn->q", w, np.multiply(d, d, out=d))
         cand_f[ext_norm < 1e-12, 0] = np.inf
         cand_f[:, 1 + top:][np.take_along_axis(w, low, axis=1) >= 0.0] = np.inf
-        y = cands[np.arange(q), np.argmin(cand_f, axis=1)]
+        y = cands[all_rows, np.argmin(cand_f, axis=1)]
         f, slope, t_step, step = np.full(q, np.inf), np.zeros(q), np.ones(q), np.zeros((q, m))
         active, converged, blind = np.ones(q, bool), np.zeros(q, bool), np.zeros(q, bool)
         iters = np.zeros(q, dtype=int)
@@ -298,21 +333,25 @@ class SphereSpace(ResponseSpace):
             d = np.arccos(s, out=d_buf[:k])
             fc = np.einsum("rn,rn->r", wc, np.multiply(d, d, out=t_buf[:k]))
             iters[idx] += 1
-            # Within 1e-4 rad of a sample the limits d / sin d -> 1, c -> 1/3 hold.
-            # Within 1.4e-7 rad of its antipode d^2 has a cone tip: such samples leave
-            # gradient and Hessian, and their weights, summing to -u, add a slope 2 pi u.
-            near = np.greater(s, 1.0 - 5e-9, out=near_buf[:k])
-            tip = np.less(s, -1.0 + 1e-14, out=tip_buf[:k])
             t = np.maximum(np.subtract(1.0, np.multiply(s, s, out=t_buf[:k]), out=t_buf[:k]),
                            1e-14, out=t_buf[:k])  # sin^2 d
             a = np.divide(d, np.sqrt(t, out=a_buf[:k]), out=a_buf[:k])
-            np.copyto(a, 1.0, where=near)
-            np.copyto(a, 0.0, where=tip)
             # c = (1 - d cot d) / sin^2 d, the radial excess of the Hessian of d^2
             c = np.divide(np.subtract(1.0, np.multiply(a, s, out=d), out=d), t, out=d)
-            np.copyto(c, 1.0 / 3.0, where=near)
-            np.copyto(c, 0.0, where=tip)
-            cone = -2.0 * math.pi * np.multiply(wc, tip, out=t).sum(axis=1)
+            # Within 1e-4 rad of a sample the limits d / sin d -> 1, c -> 1/3 hold.
+            # Within 1.4e-7 rad of its antipode d^2 has a cone tip: such samples leave
+            # gradient and Hessian, and their weights, summing to -u, add a slope 2 pi u.
+            # Both passes run only on trips that have such samples.
+            if s.max() > 1.0 - 5e-9:
+                near = np.greater(s, 1.0 - 5e-9, out=near_buf[:k])
+                np.copyto(a, 1.0, where=near)
+                np.copyto(c, 1.0 / 3.0, where=near)
+            cone = np.zeros(k)
+            if s.min() < -1.0 + 1e-14:
+                tip = np.less(s, -1.0 + 1e-14, out=tip_buf[:k])
+                np.copyto(a, 0.0, where=tip)
+                np.copyto(c, 0.0, where=tip)
+                cone = -2.0 * math.pi * np.multiply(wc, tip, out=t).sum(axis=1)
             a *= wc
             c *= wc
             # Armijo: 1e-4 of the linearly predicted decrease; the start (f = inf) passes
@@ -329,15 +368,21 @@ class SphereSpace(ResponseSpace):
             converged[done], active[done] = True, False
             # Hessian 2 [(sum w d cot d) P + P (sum w c x x') P], P = I - y y'. Its
             # eigenvalues in absolute value, floored, keep -|H|^-1 g a descent step for
-            # signed weights; the one put on y (its null space) is inert, as g is in P.
-            proj = np.eye(m) - yr[:, :, None] * yr[:, None, :]
-            hess = 2.0 * (np.einsum("rn,rn->r", a, s)[accept, None, None] * proj
-                          + proj @ (c @ outer)[accept].reshape(-1, m, m) @ proj)
-            lam, vec = np.linalg.eigh(hess + scale[rows, None, None] * (np.eye(m) - proj))
-            coef = np.einsum("rmk,rm->rk", vec, g)
-            coef /= np.maximum(np.abs(lam), _SPHERE_CURVATURE_FLOOR * scale[rows, None])
-            v = -np.einsum("rmk,rk->rm", vec, coef)
-            v -= np.einsum("rm,rm->r", v, yr)[:, None] * yr
+            # signed weights. S^2 has a closed form; other p pad H with scale on y (its
+            # null space, inert as g is in P) and call eigh.
+            radial = np.einsum("rn,rn->r", a, s)[accept]
+            excess = (c @ outer)[accept].reshape(-1, m, m)
+            floor = _SPHERE_CURVATURE_FLOOR * scale[rows]
+            if m == 3:
+                v = -_s2_abs_newton_step(yr, radial, excess, g, floor)
+            else:
+                proj = np.eye(m) - yr[:, :, None] * yr[:, None, :]
+                hess = 2.0 * (radial[:, None, None] * proj + proj @ excess @ proj)
+                lam, vec = np.linalg.eigh(hess + scale[rows, None, None] * (np.eye(m) - proj))
+                coef = np.einsum("rmk,rm->rk", vec, g)
+                coef /= np.maximum(np.abs(lam), floor[:, None])
+                v = -np.einsum("rmk,rk->rm", vec, coef)
+                v -= np.einsum("rm,rm->r", v, yr)[:, None] * yr
             # a step predicted to lower f (which grows like sum |w|) by less than the
             # scaled tolerance is taken whole: a line search would only measure rounding
             blind[rows] = -0.5 * np.einsum("rm,rm->r", g, v) < _SPHERE_TOL * scale[rows]

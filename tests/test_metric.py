@@ -131,22 +131,25 @@ def _sphere_gradient_and_cone(pts, w, y):
     return float(np.linalg.norm(g)), -2.0 * math.pi * float(w[tip].sum())
 
 
-def test_sphere_converged_rows_are_stationary():
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sphere_converged_rows_are_stationary(p):
     """A row reported converged has a gradient of at most 1e-9 sum|w|, or sits
     on an optimal cone tip (the antipode of negatively weighted samples); a
-    stalled line search is never reported as converged."""
+    stalled line search is never reported as converged. p = 2 takes the
+    closed-form step, p = 1 and p = 3 the eigh step."""
+    space = SphereSpace(p)
     rng = np.random.default_rng(108)
     converged = at_tip = 0
     for trial in range(60):
         n = int(rng.integers(2, 60))
-        pts = rng.standard_normal((n, 3))
+        pts = rng.standard_normal((n, p + 1))
         if trial % 3:
-            pts = pts * (0.3 if trial % 3 == 1 else 1.0) + rng.standard_normal(3)
+            pts = pts * (0.3 if trial % 3 == 1 else 1.0) + rng.standard_normal(p + 1)
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         w = rng.uniform(-0.3, 1.0, size=(8, n)) * rng.uniform(0.5, 3.0, size=(8, 1))
         if trial % 3 == 2:
             w[:, :2] *= -rng.uniform(1.0, 20.0, size=(8, 1))
-        values, ok, _, conv = SPHERE.frechet_mean_batch(pts, w)
+        values, ok, _, conv = space.frechet_mean_batch(pts, w)
         for r in np.nonzero(ok & conv)[0]:
             converged += 1
             g, cone = _sphere_gradient_and_cone(pts, w[r], values[r])
@@ -154,6 +157,48 @@ def test_sphere_converged_rows_are_stationary():
                 assert g < cone
                 at_tip += 1
     assert converged >= 400 and 0 < at_tip < converged
+
+
+def test_s2_closed_form_step_matches_eigh_of_the_padded_hessian():
+    """The S^2 step |H|^-1 g in closed form against eigh of the ambient Hessian
+    padded with scale * y y' (the step every other p takes), on 12,000 random
+    tangent-plane Hessians H = 2 (radial P + P M P) in four families: indefinite,
+    isotropic (r = 0), one eigenvalue below the floor, and entries around 1e7
+    (the scale near a cone tip). M carries a random part normal to the plane,
+    which the step must ignore."""
+    rng = np.random.default_rng(110)
+    rows = 12_000
+    family = np.arange(rows) % 4
+    y = rng.standard_normal((rows, 3))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    frame = np.linalg.qr(np.concatenate([y[:, :, None], rng.standard_normal((rows, 3, 2))],
+                                        axis=2))[0]
+    e1, e2 = frame[:, :, 1], frame[:, :, 2]  # an orthonormal basis of the tangent plane
+    scale = np.where(family == 3, 1e7, 1.0) * rng.uniform(0.5, 2.0, rows)  # sum |w|
+    floor = metric._SPHERE_CURVATURE_FLOOR * scale
+    lam = rng.uniform(-1.0, 1.0, (rows, 2)) * scale[:, None]
+    lam[family == 1, 1] = lam[family == 1, 0]
+    lam[family == 2, 0] = rng.uniform(-1.0, 1.0, (family == 2).sum()) * floor[family == 2]
+    proj = np.eye(3) - y[:, :, None] * y[:, None, :]
+    radial = rng.uniform(-1.0, 1.0, rows) * scale
+    normal = rng.standard_normal((rows, 3)) * scale[:, None]
+    excess = (0.5 * (lam[:, 0, None, None] * e1[:, :, None] * e1[:, None, :]
+                     + lam[:, 1, None, None] * e2[:, :, None] * e2[:, None, :])
+              - radial[:, None, None] * proj
+              + y[:, :, None] * normal[:, None, :] + normal[:, :, None] * y[:, None, :])
+    g = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-6.0, 2.0, (rows, 1))
+    g -= np.einsum("rm,rm->r", g, y)[:, None] * y
+
+    hess = 2.0 * (radial[:, None, None] * proj + proj @ excess @ proj)
+    lam_e, vec = np.linalg.eigh(hess + scale[:, None, None] * (np.eye(3) - proj))
+    coef = np.einsum("rmk,rm->rk", vec, g) / np.maximum(np.abs(lam_e), floor[:, None])
+    expected = np.einsum("rmk,rk->rm", vec, coef)
+    expected -= np.einsum("rm,rm->r", expected, y)[:, None] * y
+
+    step = metric._s2_abs_newton_step(y, radial, excess, g, floor)
+    f_max = 1.0 / np.maximum(np.abs(lam), floor[:, None]).min(axis=1)
+    err = np.linalg.norm(step - expected, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(g, axis=1) * f_max)
 
 
 def test_sphere_solver_memory_envelope():
