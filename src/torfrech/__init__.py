@@ -36,7 +36,7 @@ from .metric import (
     space_from_json,
     weighted_frechet_mean,
 )
-from .simulate import SimConfig, SimReport, mise, regression_fn, run_study, sample_vmf
+from .simulate import SimConfig, SimReport, run_study
 from .torus import TangentCoords, TorusPoint, canonicalize, chart, cos_gaps, inverse_chart
 
 __version__ = "0.1.0"
@@ -51,7 +51,7 @@ __all__ = [
     "UnsupportedOracleError", "WassersteinSpace", "canonicalize", "chart", "cos_gaps",
     "cv_score", "frechet_mean_oracle", "inverse_chart",
     "isotonic_projection", "kernel_moment", "kfold_split", "local_constant_estimate",
-    "local_linear_estimate", "local_linear_weights", "local_moments", "mise",
-    "regression_fn", "run_study", "sample_vmf", "scalar_kernel", "space_from_json",
-    "toroidal_weight", "two_stage_search", "weighted_frechet_mean",
+    "local_linear_estimate", "local_linear_weights", "local_moments", "run_study",
+    "scalar_kernel", "space_from_json", "toroidal_weight", "two_stage_search",
+    "weighted_frechet_mean",
 ]

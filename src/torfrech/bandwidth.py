@@ -66,10 +66,9 @@ class GridSpec:
         return len(self.stage1)
 
     @classmethod
-    def uniform(cls, dim: int, start: float = 0.1, stop: float = 1.0, count: int = 10,
-                stage2_fraction: float = 0.25, stage2_halfwidth: int = 2) -> "GridSpec":
-        axis = tuple(np.linspace(start, stop, count))
-        return cls(tuple([axis] * dim), stage2_fraction, stage2_halfwidth)
+    def uniform(cls, dim: int, start: float = 0.1, stop: float = 1.0,
+                count: int = 10) -> "GridSpec":
+        return cls(tuple([tuple(np.linspace(start, stop, count))] * dim))
 
     def stage1_candidates(self):
         return [tuple(c) for c in itertools.product(*self.stage1)]
@@ -106,12 +105,6 @@ class CVResult:
     seed: int
     estimator: str
     kernel: str
-
-    @property
-    def scores(self) -> dict:
-        out = dict(self.stage1_scores)
-        out.update(dict(self.stage2_scores))
-        return out
 
     def to_json(self) -> dict:
         return {

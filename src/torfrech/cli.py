@@ -20,11 +20,12 @@ import click
 import numpy as np
 
 from .bandwidth import GridSpec, two_stage_search
-from .errors import DatasetFormatError, EmptyDatasetError, NumericalError, PayloadError
-from .frechet import Dataset, fit_queries, normalize_estimator
-from .io import (load_dataset, load_space, read_trips, save_dataset, trips_to_dataset,
-                 write_json)
+from .errors import NumericalError
+from .frechet import Dataset, fit_queries
+from .io import (load_dataset, load_space, read_json, read_trips, save_dataset,
+                 trips_to_dataset, write_json)
 from .kernels import BandwidthVector, KernelFamily
+from .metric import finite_number
 from .simulate import SimConfig, run_study
 
 
@@ -36,7 +37,7 @@ def _cli_errors(fn):
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(3)
-        except (PayloadError, DatasetFormatError, EmptyDatasetError, ValueError) as exc:
+        except ValueError as exc:  # the package's validation errors are ValueErrors
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
     return wrapper
@@ -79,29 +80,26 @@ def _parse_grid1(spec: str, dim: int, stage2_fraction: float,
         raise click.UsageError(str(exc)) from None
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise click.UsageError("config file must hold a JSON object")
-    return obj
-
-
-def _merge_config(ctx, config: dict, names):
-    """Fill parameters the user left at their defaults from the config file; a value
-    must be a string or a finite number, converted by its flag's type."""
+def _merge_config(ctx, config_path, names):
+    """Fill parameters the user left at their defaults from the JSON object in the
+    config file. Each key must be one of `names`, and each value a string or a
+    finite number, converted by its flag's type."""
     from click.core import ParameterSource
 
+    config = {} if config_path is None else read_json(config_path, "config file")
+    if not isinstance(config, dict):
+        raise ValueError(f"{config_path}: the config file must hold a JSON object")
+    unknown = sorted(set(config) - set(names))
+    if unknown:
+        raise ValueError(f"{config_path}: unknown config key(s) {', '.join(map(repr, unknown))}"
+                         f"; {ctx.command.name} takes {', '.join(names)}")
     params = {p.name: p for p in ctx.command.params}
     out = {}
     for name in names:
         if name in config and \
                 ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
             value = config[name]
-            if not (isinstance(value, (str, int)) or
-                    isinstance(value, float) and math.isfinite(value)):
+            if not (isinstance(value, str) or finite_number(value)):
                 raise ValueError(f"config key {name!r} must be a string or a finite number, "
                                  f"got {json.dumps(value)}")
             try:
@@ -140,11 +138,10 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
     if bandwidth is not None and cv_path is not None:
         raise click.UsageError("--bandwidth and --cv are mutually exclusive")
     if cv_path is not None:
-        with open(cv_path) as fh:
-            blob = json.load(fh)
+        blob = read_json(cv_path, "--cv file")
         if not isinstance(blob, dict) or not isinstance(blob.get("best_h"), list):
-            raise click.UsageError(f"--cv file {cv_path} must hold a JSON object "
-                                   f"with a best_h list")
+            raise ValueError(f"{cv_path}: the --cv file must hold a JSON object with a "
+                             f"best_h list")
         h_values = blob["best_h"]
     else:
         h_values = _parse_floats(bandwidth, "--bandwidth")
@@ -203,15 +200,14 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
 def cmd_cv(ctx, data, space_path, estimator, kernel, grid1, stage2_frac,
            stage2_halfwidth, k, seed, out, config_path):
     """Two-stage cross-validated bandwidth search; writes the CVResult JSON."""
-    config = _load_config(config_path)
-    merged = _merge_config(ctx, config, ["estimator", "kernel", "grid1", "stage2_frac",
-                                         "stage2_halfwidth", "k", "seed"])
+    merged = _merge_config(ctx, config_path, ["kernel", "grid1", "stage2_frac",
+                                              "stage2_halfwidth", "k", "seed"])
     dataset = load_dataset(data, descriptor_path=space_path)
     fam = KernelFamily.from_name(merged["kernel"])
     grid = _parse_grid1(merged["grid1"], dataset.dim, merged["stage2_frac"],
                         merged["stage2_halfwidth"])
     result = two_stage_search(dataset, fam, grid, k=merged["k"], seed=merged["seed"],
-                              estimator=normalize_estimator(merged["estimator"]))
+                              estimator=estimator)
     write_json(out, result.to_json())
 
 
@@ -232,9 +228,8 @@ def cmd_cv(ctx, data, space_path, estimator, kernel, grid1, stage2_frac,
 def cmd_simulate(ctx, n, sigma, reps, seed, quad, grid1, estimators, kernel, out,
                  config_path):
     """Monte Carlo study on the 2-torus with sphere-valued responses."""
-    config = _load_config(config_path)
-    merged = _merge_config(ctx, config, ["n", "sigma", "reps", "seed", "quad",
-                                         "grid1", "estimators", "kernel"])
+    merged = _merge_config(ctx, config_path, ["n", "sigma", "reps", "seed", "quad",
+                                              "grid1", "estimators", "kernel"])
     grid = _parse_grid1(merged["grid1"], 2, 0.25, 2)
     sim_config = SimConfig(
         n=merged["n"], sigma=merged["sigma"], reps=merged["reps"], seed=merged["seed"],

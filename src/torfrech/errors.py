@@ -16,7 +16,7 @@ class PayloadError(TorfrechError, ValueError):
 
 
 class DatasetFormatError(TorfrechError, ValueError):
-    """A dataset or trips file failed to parse; message names the row."""
+    """An input file failed to parse; the message names the file (and row)."""
 
 
 class EmptyDatasetError(DatasetFormatError):

@@ -104,15 +104,6 @@ class Dataset:
         resp.setflags(write=False)
         object.__setattr__(self, "responses", resp)
 
-    @classmethod
-    def from_payloads(cls, space: ResponseSpace, predictors, responses) -> "Dataset":
-        """Build from TorusPoints (or raw angle rows) and unvalidated payloads."""
-        rows = [p.angles if isinstance(p, TorusPoint) else np.atleast_1d(p)
-                for p in predictors]
-        if len(rows) == 0:
-            raise ValueError("need at least one observation")
-        return cls(space, np.stack(rows), space.stack(responses))
-
     @property
     def n(self) -> int:
         return self.angles.shape[0]

@@ -39,10 +39,8 @@ def default_descriptor_path(csv_path: str) -> str:
     return str(csv_path) + ".space.json"
 
 
-def save_dataset(path, dataset: Dataset, descriptor_path=None) -> None:
+def save_dataset(path, dataset: Dataset) -> None:
     """Write the CSV rows and the space descriptor sidecar."""
-    if descriptor_path is None:
-        descriptor_path = default_descriptor_path(path)
     space = dataset.space
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -52,18 +50,27 @@ def save_dataset(path, dataset: Dataset, descriptor_path=None) -> None:
             payload = space.payload_to_json(dataset.responses[i])
             row.append(json.dumps(payload, separators=(",", ":")))
             writer.writerow(row)
-    write_json(descriptor_path, space.to_json())
+    write_json(default_descriptor_path(path), space.to_json())
+
+
+def read_json(path, what: str):
+    """Parse a JSON file; a file that cannot be read or parsed is a
+    DatasetFormatError naming the file and what it was meant to hold."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DatasetFormatError(f"{path}: cannot read the {what} ({exc.strerror})") from None
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+        raise DatasetFormatError(f"{path}: the {what} is not valid JSON ({exc})") from None
 
 
 def load_space(descriptor_path) -> ResponseSpace:
     """Read a space descriptor; any failure is a DatasetFormatError naming the file."""
+    obj = read_json(descriptor_path, "space descriptor")
     try:
-        with open(descriptor_path) as fh:
-            return space_from_json(json.load(fh))
-    except OSError as exc:
-        raise DatasetFormatError(
-            f"{descriptor_path}: cannot read the space descriptor ({exc.strerror})") from None
-    except ValueError as exc:  # invalid JSON or an invalid descriptor
+        return space_from_json(obj)
+    except ValueError as exc:
         raise DatasetFormatError(f"{descriptor_path}: {exc}") from None
 
 
@@ -100,7 +107,7 @@ def load_dataset(path, space: ResponseSpace | None = None,
             if not all(map(math.isfinite, angles[-1])):
                 raise DatasetFormatError(f"{path} row {rownum}: non-finite angle in {row[:-1]}")
             try:
-                payloads.append(space.payload_from_json(json.loads(row[-1])))
+                payloads.append(space.validate(json.loads(row[-1])))
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(
                     f"{path} row {rownum}: response is not valid JSON ({exc})") from None
@@ -108,7 +115,7 @@ def load_dataset(path, space: ResponseSpace | None = None,
                 raise PayloadError(f"{path} row {rownum}: {exc}") from None
     if not angles:
         raise EmptyDatasetError(f"{path}: no data rows")
-    # payload_from_json has validated every payload already
+    # every payload is validated already
     return Dataset(space, np.asarray(angles), np.stack(payloads))
 
 

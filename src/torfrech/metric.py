@@ -100,9 +100,6 @@ class ResponseSpace(abc.ABC):
         arr = np.asarray(self.validate(payload))
         return float(arr) if arr.ndim == 0 else arr.ravel().tolist()
 
-    def payload_from_json(self, obj):
-        return self.validate(obj)
-
     def to_json(self) -> dict:
         """Space descriptor as a JSON-compatible dict."""
         return {"kind": self.kind,
@@ -581,6 +578,14 @@ _SPACES = {cls.kind: cls for cls in (ScalarSpace, SphereSpace, WassersteinSpace,
                                       GraphLaplacianSpace)}
 
 
+def finite_number(value) -> bool:
+    """Whether a JSON value is a number (not a bool) whose float is finite."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def space_from_json(obj: dict) -> ResponseSpace:
     """Build a response space from its JSON descriptor; every field is a finite number."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -592,11 +597,9 @@ def space_from_json(obj: dict) -> ResponseSpace:
     for name, _ in cls.descriptor:
         if name not in obj:
             raise ValueError(f"space descriptor for {kind!r} is missing field {name!r}")
-        value = obj[name]
-        finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
-        if isinstance(value, bool) or not finite:
+        if not finite_number(obj[name]):
             raise ValueError(f"space descriptor field {name!r} must be a finite number, "
-                             f"got {value!r}")
+                             f"got {obj[name]!r}")
     return cls(*(obj[name] for name, _ in cls.descriptor))
 
 

@@ -24,9 +24,9 @@ from .frechet import Dataset, fit_queries, normalize_estimator
 from .kernels import KernelFamily
 from .metric import SphereSpace
 from .parallel import process_map
-from .torus import TorusPoint
 
 _SPHERE = SphereSpace(2)
+CV_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class SimConfig:
     quad_per_axis: int = 50
     estimators: tuple = ("lc", "ll")
     kernel: KernelFamily = KernelFamily.VON_MISES
-    cv_folds: int = 5
 
     def __post_init__(self):
         if self.n < 10:
@@ -63,7 +62,7 @@ class SimConfig:
         return {"n": self.n, "sigma": self.sigma, "reps": self.reps, "seed": self.seed,
                 "grid": self.grid.to_json(), "quad_per_axis": self.quad_per_axis,
                 "estimators": list(self.estimators), "kernel": self.kernel.value,
-                "cv_folds": self.cv_folds}
+                "cv_folds": CV_FOLDS}
 
 
 @dataclass
@@ -95,11 +94,6 @@ def regression_surface(angles: np.ndarray) -> np.ndarray:
     psi, phi = ang[:, 0], ang[:, 1]
     raw = np.stack([np.cos(psi), np.sin(phi), np.sin(psi) * np.cos(phi)], axis=1)
     return raw / np.linalg.norm(raw, axis=1)[:, None]
-
-
-def regression_fn(x: TorusPoint) -> np.ndarray:
-    """The regression surface at a single torus point."""
-    return regression_surface(x.angles[None, :])[0]
 
 
 def sample_uniform_torus(d: int, count: int, rng) -> np.ndarray:
@@ -138,11 +132,6 @@ def sample_vmf_many(mus: np.ndarray, kappa: float, rng) -> np.ndarray:
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-def sample_vmf(mu, kappa: float, rng) -> np.ndarray:
-    """Single von Mises-Fisher draw on S^2."""
-    return sample_vmf_many(np.asarray(mu, dtype=float)[None, :], kappa, rng)[0]
-
-
 def quadrature_grid(quad_per_axis: int):
     """Midpoint tensor grid on [-pi, pi)^2: (angles (Q^2, 2), cell area)."""
     q = int(quad_per_axis)
@@ -160,13 +149,6 @@ def integrated_squared_error(estimates: np.ndarray, truths: np.ndarray,
     return float(d2.sum() * area)
 
 
-def mise(per_replication_estimates, truths: np.ndarray, quad_per_axis: int) -> float:
-    """Average integrated squared error across replications."""
-    ises = [integrated_squared_error(est, truths, quad_per_axis)
-            for est in per_replication_estimates]
-    return float(np.mean(ises))
-
-
 def _run_replication(args) -> dict:
     config, rep, seed_seq = args
     data_seq, cv_seq = seed_seq.spawn(2)
@@ -182,7 +164,7 @@ def _run_replication(args) -> dict:
     out = {"rep": rep}
     for est in config.estimators:
         try:
-            cv = two_stage_search(data, config.kernel, config.grid, k=config.cv_folds,
+            cv = two_stage_search(data, config.kernel, config.grid, k=CV_FOLDS,
                                   seed=cv_seed, estimator=est, threads=1)
             fits = fit_queries(data, grid_angles, cv.best_h, config.kernel, est)
             if not np.all(fits.ok):

@@ -265,8 +265,8 @@ def test_criterion_9_byte_determinism_across_thread_counts(tmp_path):
     runner = CliRunner()
     rng = np.random.default_rng(9)
     angles = rng.uniform(-math.pi, math.pi, size=(24, 2))
-    data = Dataset.from_payloads(SCALAR, [TorusPoint(a) for a in angles],
-                                 list(np.sin(angles[:, 0]) + 0.1 * rng.normal(size=24)))
+    data = Dataset(SCALAR, angles,
+                   SCALAR.stack(list(np.sin(angles[:, 0]) + 0.1 * rng.normal(size=24))))
     data_path = tmp_path / "data.csv"
     save_dataset(data_path, data)
 

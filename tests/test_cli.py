@@ -33,9 +33,8 @@ def write_scalar_dataset(tmp_path, values, name="data.csv", angles=None):
     rng = np.random.default_rng(70)
     if angles is None:
         angles = rng.uniform(-math.pi, math.pi, size=(len(values), 2))
-    data = Dataset.from_payloads(ScalarSpace(-50, 50),
-                                 [TorusPoint(a) for a in angles],
-                                 [float(v) for v in values])
+    space = ScalarSpace(-50, 50)
+    data = Dataset(space, angles, space.stack([float(v) for v in values]))
     path = tmp_path / name
     save_dataset(path, data)
     return path, data
@@ -160,8 +159,9 @@ def test_fit_rejects_malformed_cv_file(tmp_path, runner, blob):
                                   "--cv", str(cv), "--query", "0,0",
                                   "--out", str(tmp_path / "o.csv")])
     assert result.exit_code == 2
-    assert "best_h" in result.output
+    assert "best_h" in result.output and "cv.json" in result.output
     assert "Traceback" not in result.output
+    assert len(result.output.strip().splitlines()) == 1
 
 
 def test_cv_singleton_grid_and_determinism(tmp_path, runner):
@@ -291,11 +291,15 @@ def _malformed_descriptor_field(d):
             "--bandwidth", "0.5,0.5", "--query", "0,0", "--out", str(d / "o.csv")], "'p'"
 
 
-def _malformed_config_value(d):
+def _cv_with_config(d, text):
     path, _ = write_scalar_dataset(d, np.arange(6.0))
-    (d / "config.json").write_text('{"k":[2]}')
+    (d / "config.json").write_text(text)
     return ["cv", "--data", str(path), "--estimator", "lc", "--config",
-            str(d / "config.json"), "--out", str(d / "cv.json")], "'k'"
+            str(d / "config.json"), "--out", str(d / "cv.json")]
+
+
+def _malformed_config_value(d):
+    return _cv_with_config(d, '{"k":[2]}'), "'k'"
 
 
 def _missing_descriptor(d):
@@ -331,6 +335,38 @@ def _non_finite_query(d):
             "--query", "0,0", "--query", "0,nan", "--out", str(d / "o.csv")], "--query #2"
 
 
+def _huge_descriptor_field(d):
+    # an int beyond the float range is not a finite number
+    (d / "data.csv").write_text("theta_1,theta_2,response\n0.1,0.2,1.5\n")
+    (d / "data.csv.space.json").write_text('{"kind":"scalar","lo":-1' + "0" * 400 + ',"hi":1}')
+    return ["cv", "--data", str(d / "data.csv"), "--estimator", "lc",
+            "--out", str(d / "cv.json")], "'lo'"
+
+
+def _huge_config_value(d):
+    return _cv_with_config(d, '{"stage2_frac":1' + "0" * 400 + "}"), "'stage2_frac'"
+
+
+def _invalid_json_config(d):
+    return _cv_with_config(d, "{k: 3}"), "config.json"
+
+
+def _non_object_config(d):
+    return _cv_with_config(d, "[3]"), "config.json"
+
+
+def _unknown_config_key(d):
+    # cv's --estimator is required, so an "estimator" key could never apply either
+    return _cv_with_config(d, '{"estimator": "cubic", "seeds": 3}'), "'seeds'"
+
+
+def _invalid_json_cv_file(d):
+    path, _ = write_scalar_dataset(d, np.ones(5))
+    (d / "cv.json").write_text("{best_h: [0.5, 0.5]}")
+    return ["fit", "--data", str(path), "--estimator", "lc", "--cv", str(d / "cv.json"),
+            "--query", "0,0", "--out", str(d / "o.csv")], "cv.json"
+
+
 def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner):
     # the sidecar names k = 2000 nodes; the payloads are 3 x 3 Laplacians
     rows = ["theta_1,theta_2,response"]
@@ -349,7 +385,10 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
 @pytest.mark.parametrize("case", [_malformed_object_response, _malformed_descriptor_field,
                                   _malformed_config_value, _missing_descriptor,
                                   _header_only_trips, _malformed_cv_bandwidth,
-                                  _non_finite_dataset_angle, _non_finite_query])
+                                  _non_finite_dataset_angle, _non_finite_query,
+                                  _huge_descriptor_field, _huge_config_value,
+                                  _invalid_json_config, _non_object_config,
+                                  _unknown_config_key, _invalid_json_cv_file])
 def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, case):
     args, culprit = case(tmp_path)
     result = runner.invoke(main, args)

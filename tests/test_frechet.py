@@ -79,7 +79,7 @@ def test_dataset_validation():
         Dataset(SCALAR, np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ValueError):
         Dataset(SCALAR, np.zeros((3, 2)), np.zeros(2))
-    data = Dataset.from_payloads(SCALAR, [TorusPoint([0.1, 0.2])], [1.0])
+    data = Dataset(SCALAR, np.array([[0.1, 0.2]]), SCALAR.stack([1.0]))
     assert data.n == 1 and data.dim == 2
 
 
@@ -154,7 +154,7 @@ def test_local_constant_sphere_against_oracle():
         v = base + 0.3 * rng.standard_normal(3)
         payloads.append(v / np.linalg.norm(v))
     angles = rng.uniform(-math.pi, math.pi, size=(20, 2))
-    data = Dataset.from_payloads(sphere, [TorusPoint(a) for a in angles], payloads)
+    data = Dataset(sphere, angles, sphere.stack(payloads))
     x = TorusPoint(angles[0])
     h = BandwidthVector([0.8, 0.8])
     fit = local_constant_estimate(data, x, h, VM)

@@ -20,12 +20,11 @@ from torfrech.metric import (
     SphereSpace,
     WassersteinSpace,
 )
-from torfrech.torus import TorusPoint
 
 
 def make_dataset(space, payloads, rng):
     angles = rng.uniform(-math.pi, math.pi, size=(len(payloads), 2))
-    return Dataset.from_payloads(space, [TorusPoint(a) for a in angles], payloads)
+    return Dataset(space, angles, space.stack(payloads))
 
 
 @pytest.mark.parametrize("space,maker", [

@@ -7,24 +7,19 @@ from torfrech.bandwidth import GridSpec
 from torfrech.simulate import (
     SimConfig,
     integrated_squared_error,
-    mise,
     quadrature_grid,
-    regression_fn,
     regression_surface,
     run_study,
     sample_uniform_torus,
-    sample_vmf,
     sample_vmf_many,
 )
-from torfrech.torus import TorusPoint
 
 
-def test_regression_fn_values():
-    assert np.allclose(regression_fn(TorusPoint([0.0, 0.0])), [1, 0, 0], atol=1e-15)
-    assert np.allclose(regression_fn(TorusPoint([math.pi / 2, 0.0])), [0, 0, 1],
-                       atol=1e-15)
-    assert np.allclose(regression_fn(TorusPoint([math.pi / 2, math.pi / 2])),
-                       [0, 1, 0], atol=1e-15)
+def test_regression_surface_values():
+    out = regression_surface([[0.0, 0.0], [math.pi / 2, 0.0], [math.pi / 2, math.pi / 2]])
+    assert np.allclose(out[0], [1, 0, 0], atol=1e-15)
+    assert np.allclose(out[1], [0, 0, 1], atol=1e-15)
+    assert np.allclose(out[2], [0, 1, 0], atol=1e-15)
 
 
 def test_regression_surface_unit_norm_grid():
@@ -50,7 +45,7 @@ def test_sample_vmf_concentration():
     mu = np.array([0.0, 0.0, 1.0])
     close = 0
     for _ in range(100):
-        y = sample_vmf(mu, 1e6, rng)
+        y = sample_vmf_many(mu[None], 1e6, rng)[0]
         assert abs(np.linalg.norm(y) - 1.0) <= 1e-10
         if math.acos(min(1.0, float(y @ mu))) < 0.01:
             close += 1
@@ -75,9 +70,9 @@ def test_sample_vmf_near_uniform_at_tiny_kappa():
 def test_sample_vmf_validation():
     rng = np.random.default_rng(54)
     with pytest.raises(ValueError):
-        sample_vmf([1.0, 0.0, 0.0], 0.0, rng)
+        sample_vmf_many([[1.0, 0.0, 0.0]], 0.0, rng)
     with pytest.raises(ValueError):
-        sample_vmf([2.0, 0.0, 0.0], 1.0, rng)
+        sample_vmf_many([[2.0, 0.0, 0.0]], 1.0, rng)
 
 
 def test_quadrature_grid_midpoints():
@@ -106,7 +101,6 @@ def test_integrated_squared_error_cases():
     est = np.stack([np.cos(s), np.sin(s), np.zeros(len(angles))], axis=1)
     val = integrated_squared_error(est, base, q)
     assert val == pytest.approx(2 * math.pi ** 2, rel=5e-3)
-    assert mise([est, est], base, q) == pytest.approx(val)
 
 
 def test_sim_config_validation():
@@ -133,6 +127,9 @@ def test_run_study_deterministic():
     for est in ("lc", "ll"):
         assert rep1.mise[est] is not None and rep1.mise[est] >= 0.0
         assert rep1.excluded[est] == 0
+        # MISE is the mean of the replication ISEs
+        assert rep1.mise[est] == float(np.mean([r[est]["ise"] for r in rep1.replications]))
+    assert rep1.to_json()["config"]["cv_folds"] == 5
     # worker count must not change the report
     rep8 = run_study(config, threads=4)
     assert rep8.to_json() == rep1.to_json()
