@@ -43,7 +43,7 @@ from .errors import (
 )
 from .kernels import BandwidthVector, KernelFamily, gap_weights
 from .metric import ResponseSpace, weighted_frechet_mean  # noqa: F401  (re-exported)
-from .torus import TorusPoint, canonicalize
+from .torus import TWO_PI, TorusPoint, canonicalize
 
 CONDITION_LIMIT = 1e12
 
@@ -54,9 +54,11 @@ _IDENTITY_TOL = 1e-10
 _SIGMA_GUARD = 100.0 * np.finfo(float).eps / _IDENTITY_TOL
 
 # Cap on (bandwidth, query) weight rows x observations per fit call, applied
-# by fit_chunks to fit and cross-validation alike. It bounds the geometry,
-# moment and solver arrays of one call.
-QUERY_CHUNK_CELLS = 16384
+# by fit_chunks to fit and cross-validation alike. The arrays of one call that
+# scale with it: theta and gaps (d each, over q x n), the kernel values, one
+# K theta_a buffer, the weight rows and the mean solver's (rows x n) work
+# arrays (five for the sphere).
+QUERY_CHUNK_CELLS = 32768
 
 LOCAL_CONSTANT = "lc"
 LOCAL_LINEAR = "ll"
@@ -73,6 +75,7 @@ SINGULAR = "singular"          # mu2 exceeds CONDITION_LIMIT (local linear)
 SIGMA = "sigma"                # sigma fails the guard (local linear)
 WEIGHTS = "weights"            # weights do not sum to a positive value
 NONCONVERGED = "nonconverged"  # the mean solver stalled or hit its iteration cap
+_FAILURES = np.array([EMPTY, SINGULAR, SIGMA, WEIGHTS, NONCONVERGED])  # in _causes' order
 
 
 def normalize_estimator(name: str) -> str:
@@ -197,8 +200,12 @@ def _theta_gaps(data_angles: np.ndarray, query_angles: np.ndarray):
     per-axis kernel and moment passes.
     """
     delta = data_angles.T[:, None, :] - query_angles.T[:, :, None]
-    theta = np.asarray(canonicalize(delta))
-    gaps = np.clip(1.0 - np.cos(delta), 0.0, 2.0)
+    gaps = np.cos(delta)
+    np.clip(np.subtract(1.0, gaps, out=gaps), 0.0, 2.0, out=gaps)
+    # delta becomes theta in place by canonicalize's own steps, so the same bits
+    theta = np.mod(np.add(delta, np.pi, out=delta), TWO_PI, out=delta)
+    np.subtract(theta, np.pi, out=theta)
+    theta[theta >= np.pi] = -np.pi
     return theta.transpose(1, 2, 0), gaps.transpose(1, 2, 0)
 
 
@@ -220,12 +227,15 @@ def _linear_weights(kvals, theta, mu0, mu1, mu2):
     beta = np.zeros_like(mu1)
     beta[ok] = np.linalg.solve(mu2[ok], mu1[ok][..., None])[..., 0]
     sig = mu0 - np.einsum("rd,rd->r", mu1, beta)
-    # b'theta for every row: per query, the (C, d) betas times its (d, n) thetas
-    q, d = theta.shape[0], theta.shape[2]
-    proj = np.matmul(beta.reshape(-1, q, d).transpose(1, 0, 2), theta.transpose(0, 2, 1))
-    proj = proj.transpose(1, 0, 2).reshape(kvals.shape)
+    # b'theta of every row straight into a candidate-major view of the weights,
+    # then K (1 - b'theta) / sigma in place: one (rows, n) array in all
+    (q, n, d), rows = theta.shape, kvals.shape[0]
+    weights = np.empty_like(kvals)
+    np.matmul(beta.reshape(rows // q, q, 1, d), theta.transpose(0, 2, 1)[None],
+              out=weights.reshape(rows // q, q, 1, n))
+    np.multiply(np.subtract(1.0, weights, out=weights), kvals, out=weights)
     with np.errstate(divide="ignore", invalid="ignore"):
-        weights = kvals * (1.0 - proj) / sig[:, None]
+        np.divide(weights, sig[:, None], out=weights)
     noise = mu0 + np.linalg.norm(mu1, axis=1) * np.linalg.norm(beta, axis=1)
     sigma[ok] = sig[ok]
     ok &= sig > _SIGMA_GUARD * noise
@@ -234,11 +244,17 @@ def _linear_weights(kvals, theta, mu0, mu1, mu2):
 
 
 def _causes(local_constant: bool, ok, cond, solved=True, converged=True) -> np.ndarray:
-    """Outcome of each row from its weight and solver flags."""
-    failed = ~ok
-    return np.select([failed & local_constant, failed & ~(cond <= CONDITION_LIMIT), failed,
-                      np.logical_not(solved), np.logical_not(converged)],
-                     [EMPTY, SINGULAR, SIGMA, WEIGHTS, NONCONVERGED], OK)
+    """Outcome of each row from its weight and solver flags; only failed rows
+    go through the select."""
+    bad = ~(ok & solved & converged)
+    cause = np.full(ok.shape, OK, dtype=_FAILURES.dtype)
+    if bad.any():
+        failed, solved, converged = (np.broadcast_to(x, ok.shape)[bad]
+                                     for x in (~ok, solved, converged))
+        cause[bad] = np.select([failed & local_constant,
+                                failed & ~(cond[bad] <= CONDITION_LIMIT), failed,
+                                ~solved, ~converged], _FAILURES, OK)
+    return cause
 
 
 def _bandwidth_stack(h, dim: int) -> np.ndarray:
@@ -284,12 +300,15 @@ class QueryBatch:
         kvals[underflow] = 0.0
         mu0[underflow] = 0.0
         # per query, (C, n) kernel rows times its (n, d) thetas give n mu1, and
-        # the (C * d, n) rows K theta_a times the same thetas give n mu2
+        # for each axis a the rows K theta_a, formed in one reused buffer, times
+        # the same thetas give row a of n mu2
         by_query = kvals.reshape(c, q, n).transpose(1, 0, 2)
         mu1 = np.matmul(by_query, self.theta).transpose(1, 0, 2).reshape(c * q, d) / n
-        k_theta = kvals.reshape(c, 1, q, n) * self.theta.transpose(2, 0, 1)[None]
-        mu2 = np.matmul(k_theta.transpose(2, 0, 1, 3).reshape(q, c * d, n), self.theta)
-        mu2 = mu2.reshape(q, c, d, d).transpose(1, 0, 2, 3).reshape(c * q, d, d) / n
+        k_theta, mu2 = np.empty((q, c, n)), np.empty((q, c, d, d))
+        for a in range(d):
+            np.multiply(by_query, self.theta[:, None, :, a], out=k_theta)
+            np.matmul(k_theta, self.theta, out=mu2[:, :, a])
+        mu2 = mu2.transpose(1, 0, 2, 3).reshape(c * q, d, d) / n
         return kvals, mu0, mu1, mu2
 
     def weight_rows(self, h, kernel: KernelFamily, estimator: str):

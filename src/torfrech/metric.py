@@ -586,8 +586,14 @@ def finite_number(value) -> bool:
         return False
 
 
+# Descriptor fields that count something (sphere dimension, quantile grid
+# points, graph nodes); the constructors take them as ints.
+_COUNT_FIELDS = frozenset({"p", "grid", "k"})
+
+
 def space_from_json(obj: dict) -> ResponseSpace:
-    """Build a response space from its JSON descriptor; every field is a finite number."""
+    """Build a response space from its JSON descriptor; every field is a finite
+    number, and a count field a whole one."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("space descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
@@ -599,6 +605,9 @@ def space_from_json(obj: dict) -> ResponseSpace:
             raise ValueError(f"space descriptor for {kind!r} is missing field {name!r}")
         if not finite_number(obj[name]):
             raise ValueError(f"space descriptor field {name!r} must be a finite number, "
+                             f"got {obj[name]!r}")
+        if name in _COUNT_FIELDS and not float(obj[name]).is_integer():
+            raise ValueError(f"space descriptor field {name!r} must be a whole number, "
                              f"got {obj[name]!r}")
     return cls(*(obj[name] for name, _ in cls.descriptor))
 

@@ -343,6 +343,29 @@ def _huge_descriptor_field(d):
             "--out", str(d / "cv.json")], "'lo'"
 
 
+def _fractional_descriptor_count(d, descriptor, payload, field):
+    # a count field that is not a whole number is refused, not truncated to the
+    # space that the payload fits
+    (d / "data.csv").write_text(f'theta_1,theta_2,response\n0.1,0.2,"{payload}"\n')
+    (d / "data.csv.space.json").write_text(descriptor)
+    return ["fit", "--data", str(d / "data.csv"), "--estimator", "lc",
+            "--bandwidth", "0.5,0.5", "--query", "0,0", "--out", str(d / "o.csv")], f"'{field}'"
+
+
+def _fractional_sphere_p(d):
+    return _fractional_descriptor_count(d, '{"kind":"sphere","p":2.5}', "[1,0,0]", "p")
+
+
+def _fractional_laplacian_k(d):
+    return _fractional_descriptor_count(d, '{"kind":"graph_laplacian","k":3.9,"c_w":1}',
+                                        "[2,-1,-1,-1,2,-1,-1,-1,2]", "k")
+
+
+def _fractional_wasserstein_grid(d):
+    return _fractional_descriptor_count(d, '{"kind":"wasserstein","grid":7.5,"a":0,"b":1}',
+                                        "[0,0.1,0.2,0.3,0.4,0.5,0.6]", "grid")
+
+
 def _huge_config_value(d):
     return _cv_with_config(d, '{"stage2_frac":1' + "0" * 400 + "}"), "'stage2_frac'"
 
@@ -386,7 +409,9 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
                                   _malformed_config_value, _missing_descriptor,
                                   _header_only_trips, _malformed_cv_bandwidth,
                                   _non_finite_dataset_angle, _non_finite_query,
-                                  _huge_descriptor_field, _huge_config_value,
+                                  _huge_descriptor_field, _fractional_sphere_p,
+                                  _fractional_laplacian_k, _fractional_wasserstein_grid,
+                                  _huge_config_value,
                                   _invalid_json_config, _non_object_config,
                                   _unknown_config_key, _invalid_json_cv_file])
 def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, case):

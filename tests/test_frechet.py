@@ -382,6 +382,41 @@ def test_fit_memory_is_flat_in_the_number_of_queries():
     assert many <= 1.5 * few
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_weight_rows_working_set_is_a_few_row_arrays():
+    """One local linear weight_rows call over a bandwidth stack holds the kernel
+    values, one K theta_a buffer and the weights it returns, each a (C * q, n)
+    array, and nothing of size C * d * q * n: its peak stays under 2.75 such
+    arrays (a K theta stack for mu2 reads 5, a copied b'theta 3.1)."""
+    rng = np.random.default_rng(63)
+    data = scalar_dataset(rng, 600, 2)
+    batch = QueryBatch(data, rng.uniform(-math.pi, math.pi, size=(20, 2)))
+    hs = rng.uniform(0.4, 1.5, size=(6, 2))
+    peak, (weights, ok) = _traced_peak(lambda: batch.weight_rows(hs, VM, LOCAL_LINEAR)[:2])
+    assert ok.all() and weights.shape == (6 * 20, 600)
+    assert peak <= 2.75 * weights.nbytes
+
+
+def test_theta_gaps_peak_is_its_output():
+    """theta and gaps are computed in place of the angle differences, so the
+    geometry of a (query, observation) grid peaks within 1.25x of the two
+    arrays it returns (out-of-place wrapping and 1 - cos read 2x)."""
+    rng = np.random.default_rng(64)
+    data = scalar_dataset(rng, 600, 2)
+    queries = data.angles[:40] + rng.uniform(-1.0, 1.0, size=(40, 2))
+    peak, (theta, gaps) = _traced_peak(lambda: frechet._theta_gaps(data.angles, queries))
+    assert theta.shape == gaps.shape == (40, 600, 2)
+    assert peak <= 1.25 * (theta.nbytes + gaps.nbytes)
+
+
 @pytest.mark.parametrize("q, n, c, cap", [(7, 5, 3, 40), (10, 6, 4, 64), (3, 9, 5, 1000),
                                           (1, 20, 6, 50), (4, 50, 2, 30)])
 def test_fit_chunks_cover_the_grid_once_in_order_within_the_cap(q, n, c, cap, monkeypatch):
