@@ -21,10 +21,10 @@ Every fit runs through `QueryBatch`, and `fit_chunks` is the one place that
 cuts a fit into memory-bounded calls: `fit_queries` concatenates its chunks
 for one bandwidth, cross-validation scores a stack of bandwidths on each
 fold's held-out queries from them, and the single-query estimators are
-batches of one bandwidth and one query. For each
-query, mu1, mu2 and the projections b'theta of a whole bandwidth stack are
-matrix products against that query's shared tangent coordinates. Failed rows
-carry a cause; `fit_error` types it.
+batches of one bandwidth and one query. The kernel factors over circles,
+so a bandwidth grid gets mu0, mu1, mu2, b and sigma from one table of
+per-axis factor products per query slice. Failed rows carry a cause;
+`fit_error` types it.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ _SIGMA_GUARD = 100.0 * np.finfo(float).eps / _IDENTITY_TOL
 
 # Cap on (bandwidth, query) weight rows x observations per fit call, applied
 # by fit_chunks to fit and cross-validation alike. The arrays of one call that
-# scale with it: theta and gaps (d each, over q x n), the kernel values, one
-# K theta_a buffer, the weight rows and the mean solver's (rows x n) work
-# arrays (five for the sphere).
+# scale with it: theta and gaps (d each, over q x n), the kernel values, the
+# weight rows and the mean solver's (rows x n) work arrays (five for the
+# sphere), and each moment table and its side rows (QueryBatch.moments).
 QUERY_CHUNK_CELLS = 32768
 
 LOCAL_CONSTANT = "lc"
@@ -202,21 +202,32 @@ def _theta_gaps(data_angles: np.ndarray, query_angles: np.ndarray):
     delta = data_angles.T[:, None, :] - query_angles.T[:, :, None]
     gaps = np.cos(delta)
     np.clip(np.subtract(1.0, gaps, out=gaps), 0.0, 2.0, out=gaps)
-    # delta becomes theta in place by canonicalize's own steps, so the same bits
-    theta = np.mod(np.add(delta, np.pi, out=delta), TWO_PI, out=delta)
+    # delta + pi is in (-pi, 3pi), where these exact shifts give canonicalize's np.mod bits
+    theta = np.add(delta, np.pi, out=delta)
+    np.subtract(theta, TWO_PI, out=theta, where=theta >= TWO_PI)
+    np.add(theta, TWO_PI, out=theta, where=theta < 0.0)
     np.subtract(theta, np.pi, out=theta)
     theta[theta >= np.pi] = -np.pi
     return theta.transpose(1, 2, 0), gaps.transpose(1, 2, 0)
 
 
-def _linear_weights(kvals, theta, mu0, mu1, mu2):
-    """The local linear weight rule for rows of kernel values.
+def _sides(hs: np.ndarray):
+    """(k, left, right): for axes 0..k-1 and k..d-1 (k = d // 2) of a (C, d) stack,
+    np.unique's distinct sub-tuples and indices; None unless fewer than C rows."""
+    k = hs.shape[1] // 2
+    if k:
+        left, right = (np.unique(hs[:, side], axis=0, return_inverse=True)
+                       for side in (slice(k), slice(k, None)))
+        if len(left[0]) + len(right[0]) < len(hs):
+            return k, left, right
+    return None
 
-    kvals holds C * q rows, candidate-major, over the q queries of theta
-    (q, n, d). Returns (weights, ok, cond, sigma); failed rows (cond > 1e12,
-    or sigma under its guard) get zero weights, and singular rows sigma NaN.
-    b is one LU solve: refinement in working precision cannot lower the normwise
-    residual of that backward-stable solve (Higham 2002, sec. 12.2).
+
+def _linear_rule(mu0, mu1, mu2):
+    """(beta, ok, cond, sigma) of the local linear rule on rows of moments: ok
+    fails where cond > 1e12 or sigma is under its guard, and singular rows get
+    sigma NaN. b is one LU solve: refinement in working precision cannot lower
+    the normwise residual of that backward-stable solve (Higham 2002, 12.2).
     """
     eigs = np.linalg.eigvalsh(mu2)
     lo, hi = eigs[:, 0], eigs[:, -1]
@@ -227,6 +238,16 @@ def _linear_weights(kvals, theta, mu0, mu1, mu2):
     beta = np.zeros_like(mu1)
     beta[ok] = np.linalg.solve(mu2[ok], mu1[ok][..., None])[..., 0]
     sig = mu0 - np.einsum("rd,rd->r", mu1, beta)
+    noise = mu0 + np.linalg.norm(mu1, axis=1) * np.linalg.norm(beta, axis=1)
+    sigma[ok] = sig[ok]
+    ok &= sig > _SIGMA_GUARD * noise
+    return beta, ok, cond, sigma
+
+
+def _linear_weights(kvals, theta, rule):
+    """(weights, ok, cond, sigma): W = K (1 - b'theta) / sigma for C * q rows of
+    kernel values over the q queries of theta (q, n, d), failed rows zero."""
+    beta, ok, cond, sigma = rule
     # b'theta of every row straight into a candidate-major view of the weights,
     # then K (1 - b'theta) / sigma in place: one (rows, n) array in all
     (q, n, d), rows = theta.shape, kvals.shape[0]
@@ -235,10 +256,7 @@ def _linear_weights(kvals, theta, mu0, mu1, mu2):
               out=weights.reshape(rows // q, q, 1, n))
     np.multiply(np.subtract(1.0, weights, out=weights), kvals, out=weights)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(weights, sig[:, None], out=weights)
-    noise = mu0 + np.linalg.norm(mu1, axis=1) * np.linalg.norm(beta, axis=1)
-    sigma[ok] = sig[ok]
-    ok &= sig > _SIGMA_GUARD * noise
+        np.divide(weights, sigma[:, None], out=weights)
     weights[~ok] = 0.0
     return weights, ok, cond, sigma
 
@@ -270,9 +288,9 @@ def _bandwidth_stack(h, dim: int) -> np.ndarray:
 class QueryBatch:
     """Precomputed geometry for a fixed (training set, query set) pair.
 
-    Kernel values depend on the bandwidth only through the cosine gaps, so
-    bandwidth searches reuse one of these per fold. Every method takes one
-    BandwidthVector or a (C, d) stack of bandwidths and returns C * q rows,
+    Kernel values depend on the bandwidth only through the cosine gaps, so a
+    whole bandwidth stack shares them, and its moments one table. Methods take
+    a BandwidthVector or a (C, d) stack of bandwidths and return C * q rows,
     candidate-major: row c * q + i belongs to bandwidth c and query i.
     """
 
@@ -288,43 +306,73 @@ class QueryBatch:
         self.query_angles = q
         self.theta, self.gaps = _theta_gaps(self.data.angles, q)
 
-    def moments(self, h, kernel: KernelFamily):
-        """Kernel values and the three local moments for every row."""
+    def moments(self, h, kernel: KernelFamily, kvals=None):
+        """(kvals, mu0, mu1, mu2) of every row, as sums of left side rows times
+        right side rows, each times 1 or a theta_a. Where _sides splits the
+        axes, the sides are per-axis kernel factor rows of their distinct
+        bandwidths, and kvals is None: a stack costs U_L * U_R table cells a
+        query, at most prod_a U_a and one a candidate for a tensor grid. Else
+        the kernel values (given or computed) are the left rows, ones the right."""
         hs = _bandwidth_stack(h, self.data.dim)
         (q, n, d), c = self.theta.shape, hs.shape[0]
-        kvals = gap_weights(kernel, self.gaps, hs).reshape(c * q, n)
-        mu0 = kvals.mean(axis=1)
+        sides = None if kvals is not None else _sides(hs)
+        if sides is None and kvals is None:
+            kvals = gap_weights(kernel, self.gaps, hs).reshape(c * q, n)
+        k, (left_rows, iu), (right_rows, iv) = sides or (
+            d, (hs, np.arange(c)), (hs[:1, d:], np.zeros(c, dtype=int)))
+        (u, v), theta = (len(left_rows), len(right_rows)), self.theta.transpose(2, 0, 1)
+        table = np.empty((c, q, 1 + d, 1 + d))
+        # query slices keep left rows, their buffer and right rows times (1, theta) in the cap
+        step = max(1, QUERY_CHUNK_CELLS // (n * max(u, (1 + d) * v * (sides is not None))))
+        for i in range(0, q, step):
+            qs, s = slice(i, i + step), min(step, q - i)
+            if sides is None:  # right ones, whose theta products are theta itself
+                left, right = kvals.reshape(c, q, n)[:, qs], np.ones((n, 1))
+                right_theta = self.theta[qs]
+            else:
+                left = gap_weights(kernel, self.gaps[qs, :, :k], left_rows)
+                right = np.empty((s, 1 + d, v, n))
+                right[:, 0] = gap_weights(kernel, self.gaps[qs, :, k:], right_rows).swapaxes(0, 1)
+                np.multiply(right[:, :1], theta[:, qs, None].swapaxes(0, 1), out=right[:, 1:])
+                right = right.reshape(s, -1, n).transpose(0, 2, 1)
+                right, right_theta = right[..., :v], right[..., v:]
+            left = left.swapaxes(0, 1)
+            buf = np.empty(left.shape)
+            for j, f in enumerate([None, *theta[:, qs]]):
+                rows = left if f is None else np.multiply(left, f[:, None], out=buf)
+                table[:, qs, j, 0] = np.matmul(rows, right)[:, iu, iv].T
+                table[:, qs, j, 1:] = np.matmul(rows, right_theta).reshape(s, u, d, v)[
+                    :, iu, :, iv]
+            del left, right, right_theta, buf, rows  # before the next slice allocates its own
+        table = table.reshape(c * q, 1 + d, 1 + d) / n
         # kernel mass that underflowed below the smallest normal float has lost
         # the precision the weight identities need; such a row counts as empty
-        underflow = mu0 < np.finfo(float).tiny
-        kvals[underflow] = 0.0
-        mu0[underflow] = 0.0
-        # per query, (C, n) kernel rows times its (n, d) thetas give n mu1, and
-        # for each axis a the rows K theta_a, formed in one reused buffer, times
-        # the same thetas give row a of n mu2
-        by_query = kvals.reshape(c, q, n).transpose(1, 0, 2)
-        mu1 = np.matmul(by_query, self.theta).transpose(1, 0, 2).reshape(c * q, d) / n
-        k_theta, mu2 = np.empty((q, c, n)), np.empty((q, c, d, d))
-        for a in range(d):
-            np.multiply(by_query, self.theta[:, None, :, a], out=k_theta)
-            np.matmul(k_theta, self.theta, out=mu2[:, :, a])
-        mu2 = mu2.transpose(1, 0, 2, 3).reshape(c * q, d, d) / n
-        return kvals, mu0, mu1, mu2
+        underflow = table[:, 0, 0] < np.finfo(float).tiny
+        table[underflow] = 0.0
+        if kvals is not None:
+            kvals[underflow] = 0.0
+        return kvals, table[:, 0, 0], table[:, 0, 1:], table[:, 1:, 1:]
 
-    def weight_rows(self, h, kernel: KernelFamily, estimator: str):
-        """(weights, ok, cond, sigma) rows; local constant rows are K_i / mu0,
-        ok unless every kernel value is zero, with cond and sigma NaN."""
-        kvals, mu0, mu1, mu2 = self.moments(h, kernel)
+    def weight_rows(self, h, kernel: KernelFamily, estimator: str, rule=None):
+        """(weights, ok, cond, sigma) rows. Local linear rows take b and sigma
+        from `rule`, their part of a stack's table, or else from their own
+        moments; local constant rows are K_i / mean(K), failed only where that
+        mean underflows, with cond and sigma NaN."""
+        hs = _bandwidth_stack(h, self.data.dim)
+        kvals = gap_weights(kernel, self.gaps, hs).reshape(-1, self.data.n)
         if normalize_estimator(estimator) == LOCAL_LINEAR:
-            return _linear_weights(kvals, self.theta, mu0, mu1, mu2)
-        ok = mu0 > 0.0
+            if rule is None:
+                rule = _linear_rule(*self.moments(hs, kernel, kvals)[1:])
+            return _linear_weights(kvals, self.theta, rule)
+        mu0 = kvals.mean(axis=1)
+        ok = mu0 >= np.finfo(float).tiny
         weights = np.zeros_like(kvals)
         weights[ok] = kvals[ok] / mu0[ok, None]
         return weights, ok, np.full(ok.shape, np.nan), np.full(ok.shape, np.nan)
 
-    def estimates(self, h, kernel: KernelFamily, estimator: str):
+    def estimates(self, h, kernel: KernelFamily, estimator: str, rule=None):
         """Fit every row; failed rows carry their cause rather than raise."""
-        weights, ok, cond, sigma = self.weight_rows(h, kernel, estimator)
+        weights, ok, cond, sigma = self.weight_rows(h, kernel, estimator, rule)
         # failed weight rows are zero, and the solver skips rows summing to <= 0
         values, solved, iterations, converged = self.data.space.frechet_mean_batch(
             self.data.responses, weights)
@@ -337,17 +385,26 @@ def fit_chunks(data: Dataset, query_angles, h, kernel: KernelFamily, estimator: 
     """Yield (bandwidth slice, query slice, QueryFits) over one BandwidthVector
     or a (C, d) stack: query slices of QUERY_CHUNK_CELLS // n, one QueryBatch
     each, fit their bandwidths in stacks of at most QUERY_CHUNK_CELLS rows x
-    observations (one row per call when n exceeds it)."""
+    observations (one row per call when n exceeds it).
+
+    A local linear stack sharing per-axis factors (_sides) gets b and sigma from
+    one moment table per query slice, whose (1 + d)^2 cells a row fit the cap.
+    """
     queries = np.atleast_2d(np.asarray(query_angles, dtype=float))
     hs, q = _bandwidth_stack(h, data.dim), queries.shape[0]
-    step = max(1, QUERY_CHUNK_CELLS // data.n)
+    table = normalize_estimator(estimator) == LOCAL_LINEAR and _sides(hs) is not None
+    step = max(1, QUERY_CHUNK_CELLS // max(data.n, table * (1 + data.dim) ** 2 * len(hs)))
+    if table:  # equal slices: a short last one would be fit in many small calls
+        step = -(-q // -(-q // step))
     stack = max(1, QUERY_CHUNK_CELLS // (min(step, q) * data.n))
     for i in range(0, q, step):
         rows = slice(i, min(i + step, q))
-        batch = QueryBatch(data, queries[rows])
+        batch, size = QueryBatch(data, queries[rows]), rows.stop - rows.start
+        rule = _linear_rule(*batch.moments(hs, kernel)[1:]) if table else None
         for c in range(0, len(hs), stack):
             cands = slice(c, min(c + stack, len(hs)))
-            yield cands, rows, batch.estimates(hs[cands], kernel, estimator)
+            part = None if rule is None else tuple(x[c * size:cands.stop * size] for x in rule)
+            yield cands, rows, batch.estimates(hs[cands], kernel, estimator, part)
 
 
 def fit_queries(data: Dataset, query_angles, h: BandwidthVector, kernel: KernelFamily,
@@ -363,7 +420,7 @@ def local_moments(data: Dataset, x: TorusPoint, h: BandwidthVector,
     """Kernel values, tangent coordinates, and moments at a single query."""
     batch = QueryBatch(data, x.angles)
     kvals, mu0, mu1, mu2 = batch.moments(h, kernel)
-    _, _, cond, sigma = _linear_weights(kvals, batch.theta, mu0, mu1, mu2)
+    _, _, cond, sigma = _linear_rule(mu0, mu1, mu2)
     return LocalMoments(mu0=float(mu0[0]), mu1=mu1[0], mu2=mu2[0], sigma=float(sigma[0]),
                         theta=batch.theta[0], kernel_weights=kvals[0],
                         condition_number=float(cond[0]))
@@ -376,8 +433,8 @@ def local_linear_weights(moments: LocalMoments) -> np.ndarray:
     DegenerateVarianceError when sigma <= 0.
     """
     weights, ok, cond, sigma = _linear_weights(
-        moments.kernel_weights[None], moments.theta[None], np.array([moments.mu0]),
-        moments.mu1[None], moments.mu2[None])
+        moments.kernel_weights[None], moments.theta[None], _linear_rule(
+            np.array([moments.mu0]), moments.mu1[None], moments.mu2[None]))
     if not ok[0]:
         raise fit_error(_causes(False, ok, cond)[0], float(cond[0]), float(sigma[0]))
     return weights[0]

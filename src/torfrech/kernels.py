@@ -4,10 +4,11 @@ The product kernel evaluates a nonincreasing profile L at the per-circle
 similarity gaps (1 - cos r)/h^2 and multiplies across circles. Each family
 is written once, as its penalty -log L(r): r for von Mises, sqrt(r) for
 exponential, and 0 on [0, 1], inf beyond it for uniform; L is exp(-penalty),
-and the product kernel is exp of minus the summed per-circle penalties. The
-von Mises profile exp(-r) is the default throughout because it is strictly
-positive, so no neighborhood is ever empty. kernel_moment is quadrature
-tooling used by tests only.
+and the product kernel is exp of minus the summed per-circle penalties, so
+gap_weights on some circles gives the per-axis factor rows of moment tables
+(frechet.QueryBatch.moments). The von Mises profile exp(-r) is the default
+throughout because it is strictly positive, so no neighborhood is ever
+empty. kernel_moment is quadrature tooling used by tests only.
 """
 
 from __future__ import annotations

@@ -304,13 +304,16 @@ class SphereSpace(ResponseSpace):
         ext_norm = np.linalg.norm(ext, axis=1)
         cands = np.concatenate([(ext / np.maximum(ext_norm, 1e-300)[:, None])[:, None],
                                 pts[high], -pts[low]], axis=1)
-        cand_f = np.empty(cands.shape[:2])
-        for j in range(cands.shape[1]):  # one start column at a time, in the work arrays
+        # antipode starts serve rows with a negative weight there; unused columns go unscored
+        dead = np.take_along_axis(w, low, axis=1) >= 0.0
+        cand_f = np.full(cands.shape[:2], np.inf)
+        live = np.r_[np.ones(1 + top, bool), ~dead.all(axis=0)]
+        for j in np.flatnonzero(live):  # one start column at a time, in the work arrays
             d = np.arccos(np.clip(np.matmul(cands[:, j], pts.T, out=s_buf), -1.0, 1.0,
                                   out=s_buf), out=d_buf)
             cand_f[:, j] = np.einsum("qn,qn->q", w, np.multiply(d, d, out=d))
         cand_f[ext_norm < 1e-12, 0] = np.inf
-        cand_f[:, 1 + top:][np.take_along_axis(w, low, axis=1) >= 0.0] = np.inf
+        cand_f[:, 1 + top:][dead] = np.inf
         y = cands[all_rows, np.argmin(cand_f, axis=1)]
         f, slope, t_step, step = np.full(q, np.inf), np.zeros(q), np.ones(q), np.zeros((q, m))
         active, converged, blind = np.ones(q, bool), np.zeros(q, bool), np.zeros(q, bool)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -28,7 +29,7 @@ from torfrech.frechet import (
     local_moments,
     normalize_estimator,
 )
-from torfrech.kernels import BandwidthVector, KernelFamily
+from torfrech.kernels import BandwidthVector, KernelFamily, scalar_kernel
 from torfrech.metric import (
     ScalarSpace,
     SphereSpace,
@@ -37,7 +38,7 @@ from torfrech.metric import (
     isotonic_projection,
 )
 from torfrech.simulate import quadrature_grid
-from torfrech.torus import TorusPoint
+from torfrech.torus import TorusPoint, canonicalize
 
 VM = KernelFamily.VON_MISES
 SCALAR = ScalarSpace(-100.0, 100.0)
@@ -417,6 +418,85 @@ def test_theta_gaps_peak_is_its_output():
     assert peak <= 1.25 * (theta.nbytes + gaps.nbytes)
 
 
+def test_theta_is_the_canonical_difference_bit_for_bit():
+    """theta wraps the differences in place by shifts of 2 pi, which for
+    canonical angles give np.mod's bits: it equals canonicalize(data - query)
+    bit for bit, signed zeros and the ends of [-pi, pi) included."""
+    rng = np.random.default_rng(65)
+    below_pi = np.nextafter(np.pi, 0.0)
+    edges = np.array([-np.pi, np.nextafter(-np.pi, 0.0), -below_pi, below_pi, 0.0, -0.0,
+                      1e-300, -1e-300, np.pi / 2, -np.pi / 2])
+    grid = np.array(list(itertools.product(edges, repeat=2)))
+    data = np.concatenate([rng.uniform(-np.pi, np.pi, size=(400, 2)), grid])
+    queries = np.concatenate([rng.uniform(-np.pi, np.pi, size=(30, 2)), grid])
+    theta = frechet._theta_gaps(data, queries)[0]
+    expected = canonicalize(data[None, :, :] - queries[:, None, :])
+    assert np.array_equal(np.ascontiguousarray(theta).view(np.int64),
+                          np.ascontiguousarray(expected).view(np.int64))
+
+
+def _bandwidth_stacks(rng, d):
+    """A tensor grid, the same grid less two candidates already seen, and a
+    stack of random bandwidths, each (C, d)."""
+    axes = [np.sort(rng.uniform(0.6, 1.6, size=3)) for _ in range(d)]
+    tensor = np.array(list(itertools.product(*axes)))
+    return {"tensor": tensor, "tensor less seen": np.delete(tensor, [0, len(tensor) // 2], axis=0),
+            "random": rng.uniform(0.6, 1.6, size=(5, d))}
+
+
+@pytest.mark.parametrize("kernel", list(KernelFamily))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stack_moments_match_compensated_sums(kernel, d):
+    """Every row of a stack's moment table, from per-axis factor rows or from
+    the stack's own kernel values, matches compensated sums over the product
+    of the per-circle profiles. The atol of mu1 and mu2 is relative to the
+    row's mass mu0: a signed sum may cancel to near zero."""
+    rng = np.random.default_rng(70 + d)
+    data = scalar_dataset(rng, 40, d)
+    queries = rng.uniform(-math.pi, math.pi, size=(4, d))
+    batch = QueryBatch(data, queries)
+    for name, hs in _bandwidth_stacks(rng, d).items():
+        kvals, mu0, mu1, mu2 = batch.moments(hs, kernel)
+        # tensor grids share factor rows from d = 2 on; other stacks use their kernel values
+        assert (kvals is None) == (d > 1 and name != "random"), name
+        for c, h in enumerate(hs):
+            for i in range(len(queries)):
+                k = np.prod(scalar_kernel(kernel, batch.gaps[i] / h ** 2), axis=1)
+                ref0, ref1, ref2 = fsum_moments(batch.theta[i], k)
+                row = c * len(queries) + i
+                assert mu0[row] == pytest.approx(ref0, rel=1e-14, abs=0.0), (name, c, i)
+                assert np.allclose(mu1[row], ref1, rtol=1e-13, atol=1e-13 * ref0), (name, c, i)
+                assert np.allclose(mu2[row], ref2, rtol=1e-13, atol=1e-13 * ref0), (name, c, i)
+
+
+def test_underflowed_kernel_mass_fails_as_before():
+    """A query whose kernel mass underflows below the smallest normal float
+    counts as empty whether its moments come from factor rows (a bandwidth
+    grid) or from its own kernel values (one bandwidth): local constant rows
+    fail as empty and local linear rows as singular. Each per-axis factor of
+    the far query is a normal float near 1e-158; only their product is
+    subnormal."""
+    rng = np.random.default_rng(66)
+    data = Dataset(SCALAR, rng.uniform(-0.3, 0.3, size=(30, 2)), rng.normal(size=30))
+    queries = np.array([[0.0, 0.0], [np.pi - 0.01, np.pi - 0.01]])
+    tiny_h = 0.0738
+    hs = np.array(list(itertools.product([tiny_h, 0.5, 1.0], repeat=2)))
+    assert frechet._sides(hs) is not None
+    expect = {LOCAL_CONSTANT: frechet.EMPTY, LOCAL_LINEAR: frechet.SINGULAR}
+    for estimator, cause in expect.items():
+        stacked = {}
+        for cands, rows, fits in fit_chunks(data, queries, hs, VM, estimator):
+            for j, c in enumerate(range(cands.start, cands.stop)):
+                stacked[c] = fits.cause[j * (rows.stop - rows.start):][:rows.stop - rows.start]
+        single = QueryBatch(data, queries).estimates(BandwidthVector([tiny_h, tiny_h]), VM,
+                                                     estimator).cause
+        assert list(stacked[0]) == list(single) == [frechet.OK, cause], estimator
+    with pytest.raises(SingularDesignError):
+        local_linear_estimate(data, TorusPoint(queries[1]), BandwidthVector([tiny_h] * 2), VM)
+    with pytest.raises(EmptyNeighborhoodError):
+        local_constant_estimate(data, TorusPoint(queries[1]), BandwidthVector([tiny_h] * 2), VM)
+
+
 @pytest.mark.parametrize("q, n, c, cap", [(7, 5, 3, 40), (10, 6, 4, 64), (3, 9, 5, 1000),
                                           (1, 20, 6, 50), (4, 50, 2, 30)])
 def test_fit_chunks_cover_the_grid_once_in_order_within_the_cap(q, n, c, cap, monkeypatch):
@@ -438,6 +518,24 @@ def test_fit_chunks_cover_the_grid_once_in_order_within_the_cap(q, n, c, cap, mo
         assert np.allclose(fits.values.reshape(-1, rows.stop - rows.start),
                            whole[cands, rows], rtol=1e-12, atol=1e-12)
     assert (covered == 1).all() and order == sorted(order)
+
+
+@pytest.mark.parametrize("kernel", list(KernelFamily))
+def test_table_chunks_match_per_call_fits(kernel):
+    """A tensor grid's local linear chunks take b and sigma from one moment
+    table per query slice; fitting each bandwidth alone builds them from its
+    own kernel values. Both give the same causes and values to 1e-12."""
+    rng = np.random.default_rng(67)
+    data = scalar_dataset(rng, 60, 2)
+    queries = rng.uniform(-math.pi, math.pi, size=(25, 2))
+    hs = np.array(list(itertools.product([0.5, 0.9, 1.4], [0.6, 1.1])))
+    assert frechet._sides(hs) is not None
+    for cands, rows, fits in fit_chunks(data, queries, hs, kernel, LOCAL_LINEAR):
+        for j, h in enumerate(hs[cands]):
+            alone = fit_queries(data, queries[rows], BandwidthVector(h), kernel, LOCAL_LINEAR)
+            part = slice(j * (rows.stop - rows.start), (j + 1) * (rows.stop - rows.start))
+            assert list(fits.cause[part]) == list(alone.cause)
+            assert np.allclose(fits.values[part], alone.values, rtol=1e-12, atol=1e-12)
 
 
 def test_sphere_rows_converge_at_large_n():
