@@ -21,7 +21,7 @@ import numpy as np
 
 from .bandwidth import GridSpec, two_stage_search
 from .errors import NumericalError
-from .frechet import Dataset, fit_queries
+from .frechet import OK, Dataset, fit_queries
 from .io import (load_dataset, load_space, read_json, read_trips, save_dataset,
                  trips_to_dataset, write_json)
 from .kernels import BandwidthVector, KernelFamily
@@ -161,17 +161,12 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
     fits = fit_queries(dataset, angles, h, fam, estimator)
     predictions = Dataset(dataset.space, angles, fits.values)
     # "converged" is cause == "ok", kept for earlier readers of the file; the
-    # diagnostics are written before a failed row stops the run
-    diagnostics = [{
-        "query_row": i + 1,
-        "angles": [float(a) for a in predictions.angles[i]],
-        "condition_number": float(fits.condition_number[i]),
-        "sigma": float(fits.sigma[i]),
-        "solver_iterations": int(fits.iterations[i]),
-        "converged": bool(fits.ok[i]),
-        "cause": str(fits.cause[i]),
-    } for i in range(predictions.n)]
-    write_json(str(out) + ".diag.json", diagnostics)
+    # diagnostics are written, from whole columns, before a failed row stops the run
+    keys = ("angles", "condition_number", "sigma", "solver_iterations", "cause")
+    columns = (predictions.angles, fits.condition_number, fits.sigma, fits.iterations, fits.cause)
+    write_json(str(out) + ".diag.json", [
+        {"query_row": i, **dict(zip(keys, row)), "converged": row[-1] == OK}
+        for i, row in enumerate(zip(*(column.tolist() for column in columns)), start=1)])
     if not fits.ok.all():
         i = int(np.argmin(fits.ok))
         click.echo(f"numerical failure at query row {i + 1}: {fits.error(i)}", err=True)

@@ -199,11 +199,15 @@ def _theta_gaps(data_angles: np.ndarray, query_angles: np.ndarray):
     (d, q, n) arrays: each circle's (q, n) slice is contiguous for the
     per-axis kernel and moment passes.
     """
-    delta = data_angles.T[:, None, :] - query_angles.T[:, :, None]
-    gaps = np.cos(delta)
-    np.clip(np.subtract(1.0, gaps, out=gaps), 0.0, 2.0, out=gaps)
-    # delta + pi is in (-pi, 3pi), where these exact shifts give canonicalize's np.mod bits
-    theta = np.add(delta, np.pi, out=delta)
+    x, z = data_angles.T[:, None, :], query_angles.T[:, :, None]
+    gaps, theta = np.empty((2, x.shape[0], z.shape[1], x.shape[2]))
+    # 1 - cos(x - z) = 2 (sin(x/2) cos(z/2) - cos(x/2) sin(z/2))^2 from per-point factors:
+    # no libm call a cell, and exact zeros where x == z (theta's buffer holds a product)
+    np.multiply(np.sin(x / 2.0), np.cos(z / 2.0), out=gaps)
+    np.subtract(gaps, np.multiply(np.cos(x / 2.0), np.sin(z / 2.0), out=theta), out=gaps)
+    np.minimum(np.multiply(np.square(gaps, out=gaps), 2.0, out=gaps), 2.0, out=gaps)
+    # x - z + pi is in (-pi, 3pi), where these exact shifts give canonicalize's np.mod bits
+    theta = np.add(np.subtract(x, z, out=theta), np.pi, out=theta)
     np.subtract(theta, TWO_PI, out=theta, where=theta >= TWO_PI)
     np.add(theta, TWO_PI, out=theta, where=theta < 0.0)
     np.subtract(theta, np.pi, out=theta)
@@ -215,9 +219,10 @@ def _sides(hs: np.ndarray):
     """(k, left, right): for axes 0..k-1 and k..d-1 (k = d // 2) of a (C, d) stack,
     np.unique's distinct sub-tuples and indices; None unless fewer than C rows."""
     k = hs.shape[1] // 2
-    if k:
-        left, right = (np.unique(hs[:, side], axis=0, return_inverse=True)
-                       for side in (slice(k), slice(k, None)))
+    if k:  # a one-column side takes 1-D np.unique, at a fraction of axis=0's cost
+        left, right = ((u.reshape(len(u), -1), i) for u, i in (
+            np.unique(s[:, 0] if s.shape[1] == 1 else s, return_inverse=True,
+                      axis=None if s.shape[1] == 1 else 0) for s in (hs[:, :k], hs[:, k:])))
         if len(left[0]) + len(right[0]) < len(hs):
             return k, left, right
     return None
@@ -306,16 +311,16 @@ class QueryBatch:
         self.query_angles = q
         self.theta, self.gaps = _theta_gaps(self.data.angles, q)
 
-    def moments(self, h, kernel: KernelFamily, kvals=None):
+    def moments(self, h, kernel: KernelFamily, kvals=None, sides=None):
         """(kvals, mu0, mu1, mu2) of every row, as sums of left side rows times
-        right side rows, each times 1 or a theta_a. Where _sides splits the
-        axes, the sides are per-axis kernel factor rows of their distinct
-        bandwidths, and kvals is None: a stack costs U_L * U_R table cells a
-        query, at most prod_a U_a and one a candidate for a tensor grid. Else
-        the kernel values (given or computed) are the left rows, ones the right."""
+        right side rows, each times 1 or a theta_a. Where _sides (or `sides`)
+        splits the axes, the sides are per-axis kernel factor rows of their
+        distinct bandwidths, and kvals is None: a stack costs U_L * U_R table
+        cells a query, at most prod_a U_a and one a candidate for a tensor grid.
+        Else the kernel values (given or computed) are the left rows, ones the right."""
         hs = _bandwidth_stack(h, self.data.dim)
         (q, n, d), c = self.theta.shape, hs.shape[0]
-        sides = None if kvals is not None else _sides(hs)
+        sides = sides or (None if kvals is not None else _sides(hs))
         if sides is None and kvals is None:
             kvals = gap_weights(kernel, self.gaps, hs).reshape(c * q, n)
         k, (left_rows, iu), (right_rows, iv) = sides or (
@@ -392,15 +397,15 @@ def fit_chunks(data: Dataset, query_angles, h, kernel: KernelFamily, estimator: 
     """
     queries = np.atleast_2d(np.asarray(query_angles, dtype=float))
     hs, q = _bandwidth_stack(h, data.dim), queries.shape[0]
-    table = normalize_estimator(estimator) == LOCAL_LINEAR and _sides(hs) is not None
-    step = max(1, QUERY_CHUNK_CELLS // max(data.n, table * (1 + data.dim) ** 2 * len(hs)))
-    if table:  # equal slices: a short last one would be fit in many small calls
+    sides = _sides(hs) if normalize_estimator(estimator) == LOCAL_LINEAR else None
+    step = max(1, QUERY_CHUNK_CELLS // max(data.n, bool(sides) * (1 + data.dim) ** 2 * len(hs)))
+    if sides:  # equal slices: a short last one would be fit in many small calls
         step = -(-q // -(-q // step))
     stack = max(1, QUERY_CHUNK_CELLS // (min(step, q) * data.n))
     for i in range(0, q, step):
         rows = slice(i, min(i + step, q))
         batch, size = QueryBatch(data, queries[rows]), rows.stop - rows.start
-        rule = _linear_rule(*batch.moments(hs, kernel)[1:]) if table else None
+        rule = _linear_rule(*batch.moments(hs, kernel, sides=sides)[1:]) if sides else None
         for c in range(0, len(hs), stack):
             cands = slice(c, min(c + stack, len(hs)))
             part = None if rule is None else tuple(x[c * size:cands.stop * size] for x in rule)

@@ -3,7 +3,8 @@
 Datasets are CSV files with columns theta_1..theta_d holding predictor
 angles and a final `response` column holding the JSON-encoded payload; the
 response space travels in a JSON sidecar descriptor. Floats are written with
-repr so a save/load round trip is lossless.
+repr so a save/load round trip is lossless. Save and load check all rows as one
+`space.stack`; a bad file is read again row by row to name its first bad row.
 
 Trip records (hour of day, day of year, origin/destination region) aggregate
 in `trips_to_dataset` into a graph-Laplacian Dataset, one row per (hour, day)
@@ -31,8 +32,7 @@ from .torus import TorusPoint
 def write_json(path, obj) -> None:
     """Write a JSON file: sorted keys, indent 2, trailing newline."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def default_descriptor_path(csv_path: str) -> str:
@@ -40,17 +40,16 @@ def default_descriptor_path(csv_path: str) -> str:
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    """Write the CSV rows and the space descriptor sidecar."""
-    space = dataset.space
+    """Write the CSV rows, payloads as payload_to_json's compact JSON, and the sidecar."""
+    stacked = dataset.space.stack(dataset.responses)
+    # payload_to_json's compact JSON as json.dumps writes it: each finite float's repr
+    flat, form = stacked.reshape(dataset.n, -1), "{}" if stacked.ndim == 1 else "[{}]"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"theta_{i + 1}" for i in range(dataset.dim)] + ["response"])
-        for i in range(dataset.n):
-            row = [repr(float(a)) for a in dataset.angles[i]]
-            payload = space.payload_to_json(dataset.responses[i])
-            row.append(json.dumps(payload, separators=(",", ":")))
-            writer.writerow(row)
-    write_json(default_descriptor_path(path), space.to_json())
+        writer.writerows([*map(repr, a), form.format(",".join(map(repr, p.tolist())))]
+                         for a, p in zip(dataset.angles.tolist(), flat))
+    write_json(default_descriptor_path(path), dataset.space.to_json())
 
 
 def read_json(path, what: str):
@@ -74,11 +73,33 @@ def load_space(descriptor_path) -> ResponseSpace:
         raise DatasetFormatError(f"{descriptor_path}: {exc}") from None
 
 
+def _read_rows(rows: list, dim: int, space: ResponseSpace):
+    """(angles, responses) of CSV rows, each check made once, with a lone row's messages."""
+    if any(len(row) != dim + 1 for row in rows):
+        raise DatasetFormatError(f"expected {dim + 1} fields, got {len(rows[0])}")
+    try:
+        angles = np.array([row[:-1] for row in rows], dtype=float)
+    except ValueError:
+        raise DatasetFormatError(f"non-numeric angle in {rows[0][:-1]}") from None
+    if not np.isfinite(angles).all():
+        raise DatasetFormatError(f"non-finite angle in {rows[0][:-1]}")
+    # one parse of the joined cells unless one holds a string or unbalanced brackets
+    cells = [row[-1] for row in rows]
+    whole = len(cells) > 1 and not any('"' in c or c.count("[") != c.count("]") for c in cells)
+    try:
+        values = json.loads(f"[{','.join(cells)}]") if whole else [json.loads(c) for c in cells]
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"response is not valid JSON ({exc})") from None
+    if len(values) != len(cells):  # joining commas are the array's own; "1,2" adds a value
+        raise DatasetFormatError("the responses do not parse to one value a row")
+    return angles, space.stack(values)
+
+
 def load_dataset(path, space: ResponseSpace | None = None,
                  descriptor_path=None) -> Dataset:
     """Read a dataset CSV; the space comes from `space` or the descriptor sidecar.
 
-    Parse and payload errors name the offending data row (1-based).
+    Parse and payload errors name the first bad data row (1-based).
     """
     if space is None:
         space = load_space(descriptor_path or default_descriptor_path(path))
@@ -92,31 +113,19 @@ def load_dataset(path, space: ResponseSpace | None = None,
                 header[:-1] != [f"theta_{i + 1}" for i in range(len(header) - 1)]:
             raise DatasetFormatError(
                 f"{path}: header must be theta_1..theta_d,response; got {header}")
-        dim = len(header) - 1
-        angles = []
-        payloads = []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != dim + 1:
-                raise DatasetFormatError(
-                    f"{path} row {rownum}: expected {dim + 1} fields, got {len(row)}")
-            try:
-                angles.append([float(v) for v in row[:-1]])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path} row {rownum}: non-numeric angle in {row[:-1]}") from None
-            if not all(map(math.isfinite, angles[-1])):
-                raise DatasetFormatError(f"{path} row {rownum}: non-finite angle in {row[:-1]}")
-            try:
-                payloads.append(space.validate(json.loads(row[-1])))
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(
-                    f"{path} row {rownum}: response is not valid JSON ({exc})") from None
-            except PayloadError as exc:
-                raise PayloadError(f"{path} row {rownum}: {exc}") from None
-    if not angles:
+        dim, rows = len(header) - 1, list(reader)
+    if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    # every payload is validated already
-    return Dataset(space, np.asarray(angles), np.stack(payloads))
+    try:
+        angles, responses = _read_rows(rows, dim, space)
+    except ValueError:  # the first row that fails as a batch of one names itself
+        for rownum, row in enumerate(rows, start=1):
+            try:
+                _read_rows([row], dim, space)
+            except (DatasetFormatError, PayloadError) as exc:
+                raise type(exc)(f"{path} row {rownum}: {exc}") from None
+        raise
+    return Dataset(space, angles, responses)
 
 
 def _check_trip_time(hour, day, doy_len) -> None:

@@ -1,8 +1,8 @@
 """Response spaces: metric + weighted Fréchet mean for four geometries.
 
-A response space bundles a distance, payload validation, a finite diameter
-bound, and a weighted Fréchet-mean solver. Each space declares its JSON
-descriptor once, as (descriptor key, attribute) pairs in constructor order,
+A response space bundles a distance, a payload check on stacks of payloads,
+a finite diameter bound, and a weighted Fréchet-mean solver. Each space declares
+its JSON descriptor once, as (descriptor key, attribute) pairs in constructor order,
 which `space_from_json` reads; it inherits `to_json` and `payload_to_json`
 (a float for a 0-d payload, else a flat list of floats). Weights may be
 negative (the local linear estimator produces signed weights), so each
@@ -56,9 +56,9 @@ _LAPLACIAN_STEPS = 0.5 ** np.arange(4)  # step lengths tried along the active-se
 
 
 def _float_array(payload) -> np.ndarray:
-    """A payload as a float array; PayloadError when numpy cannot read it as numbers."""
+    """A payload as a new float array; PayloadError when numpy cannot read it as numbers."""
     try:
-        return np.asarray(payload, dtype=float)
+        return np.array(payload, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise PayloadError(f"payload is not numeric ({exc})") from None
 
@@ -80,8 +80,8 @@ class ResponseSpace(abc.ABC):
     descriptor: tuple  # (descriptor key, attribute) pairs, in constructor order
 
     @abc.abstractmethod
-    def validate(self, payload):
-        """Return the canonical array form of a payload or raise PayloadError."""
+    def _check(self, stacked: np.ndarray) -> np.ndarray:
+        """The canonical form of a float stack of payloads, or PayloadError."""
 
     @abc.abstractmethod
     def diameter(self) -> float:
@@ -110,10 +110,18 @@ class ResponseSpace(abc.ABC):
         return float(np.sqrt(self.pairwise_dist2(a, b)[0]))
 
     def stack(self, payloads) -> np.ndarray:
-        """Validate a sequence of payloads and stack them along axis 0."""
+        """One float conversion and one _check for the whole stack; if that fails, or numpy
+        cannot stack the payloads as given, each is validated alone: the first bad one raises."""
         if len(payloads) == 0:
             raise ValueError("need at least one payload")
-        return np.stack([np.asarray(self.validate(p)) for p in payloads])
+        try:
+            return self._check(_float_array(payloads))
+        except PayloadError:
+            return np.stack([self.validate(p) for p in payloads])
+
+    def validate(self, payload):
+        """The canonical array form of a payload or PayloadError: _check on a stack of one."""
+        return self._check(_float_array(payload)[None])[0]
 
     def objective(self, stacked: np.ndarray, weights: np.ndarray, y) -> float:
         return float(np.dot(weights, self.pairwise_dist2(stacked,
@@ -207,13 +215,12 @@ class ScalarSpace(ResponseSpace):
         self.lo = lo
         self.hi = hi
 
-    def validate(self, payload):
-        arr = _float_array(payload)
-        if arr.shape != ():
-            raise PayloadError(f"scalar payload must be a single number, got shape {arr.shape}")
-        if not np.isfinite(arr):
+    def _check(self, arr):
+        if arr.shape[1:] != ():
+            raise PayloadError(f"scalar payload must be a single number, got shape {arr.shape[1:]}")
+        if not np.isfinite(arr).all():
             raise PayloadError("scalar payload must be finite")
-        return float(arr)
+        return arr
 
     def diameter(self) -> float:
         return self.hi - self.lo
@@ -262,14 +269,13 @@ class SphereSpace(ResponseSpace):
             raise ValueError("sphere dimension p must be >= 1")
         self.p = int(p)
 
-    def validate(self, payload):
-        arr = _float_array(payload)
-        if arr.shape != (self.p + 1,):
+    def _check(self, arr):
+        if arr.shape[1:] != (self.p + 1,):
             raise PayloadError(f"sphere payload must have {self.p + 1} coordinates, "
-                               f"got shape {arr.shape}")
+                               f"got shape {arr.shape[1:]}")
         if not np.all(np.isfinite(arr)):
             raise PayloadError("sphere payload must be finite")
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-10:
+        if np.any(np.abs(np.linalg.norm(arr, axis=1) - 1.0) > 1e-10):
             raise PayloadError("sphere payload must have unit norm (within 1e-10)")
         return arr
 
@@ -416,16 +422,15 @@ class WassersteinSpace(ResponseSpace):
         self.a = a
         self.b = b
 
-    def validate(self, payload):
-        arr = _float_array(payload)
-        if arr.shape != (self.grid_size,):
+    def _check(self, arr):
+        if arr.shape[1:] != (self.grid_size,):
             raise PayloadError(f"quantile payload must have {self.grid_size} values, "
-                               f"got shape {arr.shape}")
+                               f"got shape {arr.shape[1:]}")
         if not np.all(np.isfinite(arr)):
             raise PayloadError("quantile payload must be finite")
-        if np.any(np.diff(arr) < -1e-12):
+        if np.any(np.diff(arr, axis=1) < -1e-12):
             raise PayloadError("quantile payload must be nondecreasing")
-        if arr[0] < self.a - 1e-9 or arr[-1] > self.b + 1e-9:
+        if np.any(arr[:, 0] < self.a - 1e-9) or np.any(arr[:, -1] > self.b + 1e-9):
             raise PayloadError(f"quantile payload must lie in [{self.a}, {self.b}]")
         return arr
 
@@ -491,23 +496,21 @@ class GraphLaplacianSpace(ResponseSpace):
         entries, and a descriptor alone must not cost memory quadratic in k."""
         return np.triu_indices(self.n_nodes, 1)
 
-    def validate(self, payload):
-        arr = _float_array(payload)
+    def _check(self, arr):
         k = self.n_nodes
-        if arr.shape == (k * k,):
-            arr = arr.reshape(k, k)
-        if arr.shape != (k, k):
-            raise PayloadError(f"Laplacian payload must be {k}x{k}, got shape {arr.shape}")
+        arr = arr.reshape(-1, k, k) if arr.shape[1:] == (k * k,) else arr
+        if arr.shape[1:] != (k, k):
+            raise PayloadError(f"Laplacian payload must be {k}x{k}, got shape {arr.shape[1:]}")
         if not np.all(np.isfinite(arr)):
             raise PayloadError("Laplacian payload must be finite")
         # entries are sums of up to k edge weights in [0, C_w], so rounding grows with C_w
         tol = 1e-9 * max(1.0, self.c_w)
-        if np.max(np.abs(arr - arr.T)) > tol:
+        if np.max(np.abs(arr - arr.swapaxes(1, 2))) > tol:
             raise PayloadError("Laplacian payload must be symmetric")
-        if np.max(np.abs(arr.sum(axis=1))) > tol:
+        if np.max(np.abs(arr.sum(axis=2))) > tol:
             raise PayloadError("Laplacian payload must have zero row sums "
                                "(within 1e-9 * max(1, c_w))")
-        off = arr[~np.eye(k, dtype=bool)]
+        off = arr[:, ~np.eye(k, dtype=bool)]
         if np.any(off > tol) or np.any(off < -self.c_w - tol):
             raise PayloadError(f"Laplacian off-diagonals must lie in [-{self.c_w}, 0]")
         return arr

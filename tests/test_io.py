@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -16,6 +17,7 @@ from torfrech.io import (
 )
 from torfrech.metric import (
     GraphLaplacianSpace,
+    ResponseSpace,
     ScalarSpace,
     SphereSpace,
     WassersteinSpace,
@@ -57,6 +59,110 @@ def test_load_dataset_reports_bad_rows(tmp_path):
     path.write_text("theta_1,response\n0.1,\"{notjson\"\n")
     with pytest.raises(DatasetFormatError, match="row 1"):
         load_dataset(path, space=ScalarSpace(0, 1))
+
+
+def _write_cells(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([["theta_1", "response"]] + rows)
+
+
+def _lone_row_error(space, cell):
+    """(type, message) of reading one response cell on its own, as a row of one."""
+    try:
+        space.validate(json.loads(cell))
+    except json.JSONDecodeError as exc:
+        return DatasetFormatError, f"response is not valid JSON ({exc})"
+    except PayloadError as exc:
+        return PayloadError, str(exc)
+    raise AssertionError(f"{cell!r} is a valid payload")
+
+
+@pytest.mark.parametrize("space,cells,bad_row", [
+    (ScalarSpace(-5, 5), ["1.0", "2.0", "1,2", "3.0"], 3),  # two values in one cell
+    (ScalarSpace(-5, 5), ["1.0", "", "2.0"], 2),  # an empty response
+    # unbalanced brackets whose joined parse still gives one unit vector a row
+    (SphereSpace(1), ["[1,0]", "[0", "1]", "[0,1],[1,0]"], 2),
+    (SphereSpace(2), ["[1,0,0]", "[0,0,1]", "[0,1]", "[0,1,0]"], 3),  # a ragged row
+    (ScalarSpace(-5, 5), ["1.0", '{"a": 1}', "2.0"], 2),  # a dict
+    (ScalarSpace(-5, 5), ["1.0", "2.0", "null"], 3),  # null reads as NaN
+    (GraphLaplacianSpace(2, 1.0), ["[1,-1,-1,1]", "[[1,-1],[-1,1]]", "[[1,-1],[1,-1]]"], 3),
+])
+def test_joined_response_parse_names_the_first_bad_row(tmp_path, space, cells, bad_row):
+    """The response column is parsed and checked as a whole; a bad file still names
+    its first bad row with the message that row gives on its own."""
+    path = tmp_path / "d.csv"
+    _write_cells(path, [[repr(0.1 * i), cell] for i, cell in enumerate(cells)])
+    error, message = _lone_row_error(space, cells[bad_row - 1])
+    with pytest.raises(error) as info:
+        load_dataset(path, space=space)
+    assert str(info.value) == f"{path} row {bad_row}: {message}"
+
+
+def test_first_bad_row_wins_across_kinds_of_fault(tmp_path):
+    """A bad payload in row 2 is reported before a bad field count in row 5, and
+    the other way round, as a row-by-row read meets them."""
+    space = SphereSpace(2)
+    rows = [["0.1", "[1,0,0]"], ["0.2", "[1,1,0]"], ["0.3", "[0,1,0]"], ["0.4", "[0,0,1]"],
+            ["0.5"]]
+    path = tmp_path / "d.csv"
+    _write_cells(path, rows)
+    with pytest.raises(PayloadError) as info:
+        load_dataset(path, space=space)
+    assert str(info.value).startswith(f"{path} row 2: sphere payload must have unit norm")
+    rows[1], rows[4] = ["0.2"], ["0.5", "[1,1,0]"]
+    _write_cells(path, rows)
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(path, space=space)
+    assert str(info.value) == f"{path} row 2: expected 2 fields, got 1"
+
+
+def _laplacian_with_zero_edges(rng):
+    # zero edge weights give -0.0 off the diagonal, which a save must keep
+    w = rng.uniform(0.0, 2.0, size=6) * (rng.uniform(size=6) < 0.5)
+    return GraphLaplacianSpace(4, 2.0).edge_weights_to_laplacian(w)
+
+
+@pytest.mark.parametrize("space,maker", [
+    (ScalarSpace(-5, 5), lambda rng: float(rng.uniform(-4, 4))),
+    (SphereSpace(2), lambda rng: (lambda v: v / np.linalg.norm(v))(rng.standard_normal(3))),
+    (WassersteinSpace(6, 0.0, 1.0), lambda rng: np.sort(rng.uniform(0, 1, 6))),
+    (GraphLaplacianSpace(4, 2.0), _laplacian_with_zero_edges),
+])
+def test_save_load_save_is_byte_identical(tmp_path, space, maker):
+    """Each row is the angles' repr and payload_to_json's compact JSON, and a file
+    saved from a loaded one is the same bytes."""
+    rng = np.random.default_rng(66)
+    data = make_dataset(space, [maker(rng) for _ in range(60)], rng)
+    save_dataset(tmp_path / "a.csv", data)
+    save_dataset(tmp_path / "b.csv", load_dataset(tmp_path / "a.csv"))
+    for suffix in ("", ".space.json"):
+        assert (tmp_path / f"a.csv{suffix}").read_bytes() == \
+            (tmp_path / f"b.csv{suffix}").read_bytes()
+    with open(tmp_path / "a.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [[repr(float(a)) for a in angles] +
+                    [json.dumps(space.payload_to_json(p), separators=(",", ":"))]
+                    for angles, p in zip(data.angles, data.responses)]
+    if isinstance(space, GraphLaplacianSpace):
+        assert "-0.0" in (tmp_path / "a.csv").read_text()
+
+
+def test_load_and_save_check_the_responses_as_one_stack(tmp_path, monkeypatch):
+    calls = []
+    stack = ResponseSpace.stack
+
+    def counted(self, payloads):
+        calls.append(len(payloads))
+        return stack(self, payloads)
+
+    monkeypatch.setattr(ResponseSpace, "stack", counted)
+    rng = np.random.default_rng(67)
+    space = WassersteinSpace(5, 0.0, 1.0)
+    data = Dataset(space, rng.uniform(-3, 3, size=(40, 2)),
+                   np.sort(rng.uniform(0, 1, size=(40, 5)), axis=1))
+    save_dataset(tmp_path / "d.csv", data)
+    load_dataset(tmp_path / "d.csv")
+    assert calls == [40, 40]
 
 
 def test_load_dataset_empty_and_header_errors(tmp_path):

@@ -600,6 +600,49 @@ def test_payload_json_round_trip_is_bitwise(space, seed):
     assert np.asarray(back).tobytes() == np.asarray(p).tobytes()
 
 
+def _payload_variant(space, rng, kind):
+    """A random payload of the space, kept valid or broken one way, as JSON would give it."""
+    p = np.array(random_payload(space, rng), dtype=float)
+    if kind == "nan":
+        p.flat[rng.integers(p.size)] = np.nan
+    elif kind == "longer":
+        p = np.append(p.ravel(), 0.0)
+    elif kind == "scaled":  # off the sphere, out of [a, b] or past the edge cap
+        p = p * 1.5 + 0.5 * (space is not LAP)
+    elif kind == "reversed":  # decreasing quantiles
+        p = np.flip(p)
+    elif kind == "asymmetric":  # a Laplacian whose rows still sum to zero
+        p = p + (np.array([[0.0, 0.5, -0.5], [-0.5, 0.0, 0.5], [0.5, -0.5, 0.0]])
+                 if space is LAP else 0.0)
+    elif kind == "flat":  # a Laplacian may come flat
+        p = p.ravel()
+    return p.tolist()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from([SCALAR, SPHERE, WASS, LAP]), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(["valid", "valid", "flat", "nan", "longer", "scaled",
+                                 "reversed", "asymmetric"]), min_size=1, max_size=6))
+def test_stack_agrees_with_validate_row_by_row(space, seed, kinds):
+    """A stack is valid exactly when each payload is, holds each payload's canonical
+    form bit for bit, and otherwise raises the first bad payload's own error."""
+    rng = np.random.default_rng(seed)
+    payloads = [_payload_variant(space, rng, kind) for kind in kinds]
+    rows = []
+    for p in payloads:
+        try:
+            rows.append(np.asarray(space.validate(p)))
+        except PayloadError as exc:
+            rows.append(str(exc))
+    errors = [r for r in rows if isinstance(r, str)]
+    if errors:
+        with pytest.raises(PayloadError) as info:
+            space.stack(payloads)
+        assert str(info.value) == errors[0]
+    else:
+        assert space.stack(payloads).tobytes() == np.stack(rows).tobytes()
+
+
 @pytest.mark.parametrize("c_w", [1e6, 2.0 ** 20])
 def test_laplacian_validation_tolerance_scales_with_the_edge_weight_cap(c_w):
     # a diagonal sums 12 edge weights of size c_w, so its rounding exceeds 1e-9
