@@ -129,11 +129,7 @@ def kfold_split(n: int, k: int, seed: int) -> np.ndarray:
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.empty(n, dtype=int)
     base, extra = divmod(n, k)
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        folds[perm[start:start + size]] = f
-        start += size
+    folds[perm] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
     return folds
 
 

@@ -143,6 +143,9 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
             raise ValueError(f"{cv_path}: the --cv file must hold a JSON object with a "
                              f"best_h list")
         h_values = blob["best_h"]
+        if not all(map(finite_number, h_values)):
+            raise ValueError(f"{cv_path}: best_h bandwidths must be numbers, finite and "
+                             f"not bools; got {json.dumps(h_values)}")
     else:
         h_values = _parse_floats(bandwidth, "--bandwidth")
     h = BandwidthVector(h_values)

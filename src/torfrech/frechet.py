@@ -459,12 +459,12 @@ def local_linear_estimate(data: Dataset, x: TorusPoint, h: BandwidthVector,
 
 def _fit_one(data: Dataset, x: TorusPoint, h: BandwidthVector, kernel: KernelFamily,
              estimator: str) -> LocalFit:
-    """fit_queries on a batch of one; a failed row raises its typed error."""
-    fits = fit_queries(data, x.angles, h, kernel, estimator)
+    """One QueryBatch's fit and weight row; a failed row raises its typed error."""
+    batch = QueryBatch(data, x.angles)
+    fits = batch.estimates(h, kernel, estimator)
     if not fits.ok[0]:
         raise fits.error(0)
-    # fit_queries keeps no weight rows; recomputing gives the bits it used
-    weights = QueryBatch(data, x.angles).weight_rows(h, kernel, estimator)[0][0]
+    weights = batch.weight_rows(h, kernel, estimator)[0][0]
     value = fits.values[0] if data.responses.ndim > 1 else float(fits.values[0])
     diag = FitDiagnostics(float(fits.condition_number[0]), float(fits.sigma[0]),
                           int(fits.iterations[0]), converged=True)

@@ -6,12 +6,12 @@ response space travels in a JSON sidecar descriptor. Floats are written with
 repr so a save/load round trip is lossless. Save and load check all rows as one
 `space.stack`; a bad file is read again row by row to name its first bad row.
 
-Trip records (hour of day, day of year, origin/destination region) aggregate
-in `trips_to_dataset` into a graph-Laplacian Dataset, one row per (hour, day)
-group in sorted key order: per-group symmetric counts of trips between region
-pairs in either direction, self-loops dropped, clipped at the edge-weight cap,
-built in one batch under a single GraphLaplacianSpace. A trips file without
-rows is an EmptyDatasetError, like a dataset file without rows.
+A set of trips is one (m, 5) int64 array of rows (hour, day, doy_len, origin,
+dest), checked in one pass; a bad trips file is read again row by row to name
+its first bad row. `trips_to_dataset` groups the rows by (doy_len, day, hour)
+with one np.unique into a graph-Laplacian Dataset in sorted key order: symmetric
+trip counts between region pairs, self-loops dropped, clipped at the edge-weight
+cap. A trips file without rows is an EmptyDatasetError.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DatasetFormatError, EmptyDatasetError, PayloadError
 from .frechet import Dataset
 from .metric import GraphLaplacianSpace, ResponseSpace, space_from_json
-from .torus import TorusPoint
+from .torus import TorusPoint, canonicalize
 
 
 def write_json(path, obj) -> None:
@@ -128,36 +127,38 @@ def load_dataset(path, space: ResponseSpace | None = None,
     return Dataset(space, angles, responses)
 
 
-def _check_trip_time(hour, day, doy_len) -> None:
-    if doy_len not in (365, 366):
-        raise ValueError(f"day-of-year length must be 365 or 366, got {doy_len}")
-    if not 0 <= int(hour) <= 23:
-        raise ValueError(f"hour must be in 0..23, got {hour}")
-    if not 1 <= int(day) <= doy_len:
-        raise ValueError(f"day must be in 1..{doy_len}, got {day}")
-
-
-@dataclass(frozen=True)
-class TripRecord:
-    """One trip: timestamp components plus origin/destination regions (1-based)."""
-
-    hour: int
-    day: int
-    doy_len: int
-    origin: int
-    dest: int
-
-    def __post_init__(self):
-        _check_trip_time(self.hour, self.day, self.doy_len)
-        if self.origin < 1 or self.dest < 1:
-            raise ValueError("region indices are 1-based")
-
-
 TRIPS_HEADER = ["hour", "day", "doy_len", "origin", "dest"]
 
 
-def read_trips(path, n_nodes: int) -> list:
-    """Parse a trips CSV (header hour,day,doy_len,origin,dest) with at least one row."""
+def _checked_trips(rows, n_nodes: int) -> np.ndarray:
+    """(m, 5) int64 trip rows (hour, day, doy_len, origin, dest) from int() of each cell,
+    checked column by column in a lone row's order; a message quotes the first row failing."""
+    if isinstance(rows, np.ndarray):  # int() takes Python ints far faster than numpy's
+        rows = rows.tolist()
+    values = [list(map(int, row)) for row in rows]
+    fields = next((len(row) for row in values if len(row) != len(TRIPS_HEADER)), None)
+    if fields is not None:
+        raise ValueError(f"expected {len(TRIPS_HEADER)} fields, got {fields}")
+    try:
+        trips = np.array(values, dtype=np.int64).reshape(-1, len(TRIPS_HEADER))
+    except OverflowError:  # an int beyond int64 fails a range check as a Python int
+        trips = np.array(values, dtype=object).reshape(-1, len(TRIPS_HEADER))
+    hour, day, doy_len, regions = trips[:, 0], trips[:, 1], trips[:, 2], trips[:, 3:]
+    for fails, message in (
+            ((doy_len != 365) & (doy_len != 366),
+             "day-of-year length must be 365 or 366, got {2}"),
+            ((hour < 0) | (hour > 23), "hour must be in 0..23, got {0}"),
+            ((day < 1) | (day > doy_len), "day must be in 1..{2}, got {1}"),
+            ((regions < 1).any(axis=1), "region indices are 1-based"),
+            ((regions > n_nodes).any(axis=1), f"region index out of range 1..{n_nodes}")):
+        if fails.any():
+            raise ValueError(message.format(*trips[np.argmax(fails)]))
+    return trips
+
+
+def read_trips(path, n_nodes: int) -> np.ndarray:
+    """Parse a trips CSV (header hour,day,doy_len,origin,dest) with at least one row
+    into its checked (m, 5) int64 array; errors name the first bad row (1-based)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -167,53 +168,51 @@ def read_trips(path, n_nodes: int) -> list:
         if header != TRIPS_HEADER:
             raise DatasetFormatError(
                 f"{path}: header must be {','.join(TRIPS_HEADER)}; got {header}")
-        trips = []
-        for rownum, row in enumerate(reader, start=1):
-            try:
-                rec = TripRecord(*(int(v) for v in row))
-            except (ValueError, TypeError) as exc:
-                raise DatasetFormatError(f"{path} row {rownum}: {exc}") from None
-            if rec.origin > n_nodes or rec.dest > n_nodes:
-                raise DatasetFormatError(
-                    f"{path} row {rownum}: region index out of range 1..{n_nodes}")
-            trips.append(rec)
-    if not trips:
+        rows = list(reader)
+    if not rows:
         raise EmptyDatasetError(f"{path}: no trip rows")
-    return trips
+    try:
+        return _checked_trips(rows, n_nodes)
+    except ValueError:  # the first row that fails as a batch of one names itself
+        for rownum, row in enumerate(rows, start=1):
+            try:
+                _checked_trips([row], n_nodes)
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path} row {rownum}: {exc}") from None
+        raise
 
 
 def encode_time_to_torus(i1: int, i2: int, doy_len: int) -> TorusPoint:
-    """Map (hour of day, day of year) to the 2-torus.
-
-    Angles are 2*pi*(i1 + 0.5)/24 and 2*pi*(i2 - 0.5)/D, canonicalized.
-    """
-    _check_trip_time(i1, i2, doy_len)
+    """Map (hour of day, day of year) to the 2-torus, checked as a trip row is:
+    angles 2*pi*(i1 + 0.5)/24 and 2*pi*(i2 - 0.5)/D, canonicalized."""
+    _checked_trips([(i1, i2, doy_len, 1, 1)], 1)
     return TorusPoint([2.0 * math.pi * (i1 + 0.5) / 24.0,
                        2.0 * math.pi * (i2 - 0.5) / doy_len])
 
 
 def trips_to_dataset(trips, n_nodes: int, c_w: float | None = None) -> Dataset:
-    """Aggregate trips into one graph Laplacian per (hour, day, doy_len) group.
+    """Aggregate integer trip rows (hour, day, doy_len, origin, dest), checked as
+    read_trips checks them, into one graph Laplacian per (hour, day, doy_len) group.
 
     Within a group the undirected edge count sums trips in both directions,
     drops self-loops (a group of self-loops alone is the empty graph) and is
     clipped at c_w; when c_w is None the maximum observed count is used (no
-    clipping). Rows follow the sorted group keys (doy_len, day, hour).
+    clipping). Rows follow the sorted keys (doy_len, day, hour), at encode_time_to_torus's angles.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 regions")
-    rows = [((rec.doy_len, rec.day, rec.hour), rec.origin - 1, rec.dest - 1) for rec in trips]
-    keys = sorted({key for key, _, _ in rows})
-    if not keys:
+    trips = _checked_trips(trips, n_nodes)
+    if not len(trips):
         raise EmptyDatasetError("no trip groups to aggregate")
-    group = {key: g for g, key in enumerate(keys)}
+    keys, group = np.unique(trips[:, 2::-1], axis=0, return_inverse=True)
     counts = np.zeros((len(keys), n_nodes, n_nodes))
-    np.add.at(counts, tuple(np.array([(group[key], o, d) for key, o, d in rows]).T), 1.0)
+    np.add.at(counts, (group, trips[:, 3] - 1, trips[:, 4] - 1), 1.0)
     iu, ju = np.triu_indices(n_nodes, 1)
     edges = counts[:, iu, ju] + counts[:, ju, iu]  # self-loops sit on the unread diagonal
     if c_w is None:
         c_w = float(edges.max()) or 1.0  # an edgeless sample still needs a positive cap
     space = GraphLaplacianSpace(n_nodes, c_w)
-    angles = [encode_time_to_torus(hour, day, doy_len).angles for doy_len, day, hour in keys]
-    return Dataset(space, np.array(angles),
-                   space.edge_weights_to_laplacian(np.minimum(edges, space.c_w)))
+    doy_len, day, hour = keys.T  # wrapped as by TorusPoint, then again by Dataset
+    angles = canonicalize(np.column_stack([2.0 * math.pi * (hour + 0.5) / 24.0,
+                                           2.0 * math.pi * (day - 0.5) / doy_len]))
+    return Dataset(space, angles, space.edge_weights_to_laplacian(np.minimum(edges, space.c_w)))

@@ -23,7 +23,7 @@ from torfrech.frechet import (
     local_linear_weights,
     local_moments,
 )
-from torfrech.io import TripRecord, save_dataset, trips_to_dataset
+from torfrech.io import save_dataset, trips_to_dataset
 from torfrech.kernels import BandwidthVector, KernelFamily, kernel_moment
 from torfrech.metric import (
     GraphLaplacianSpace,
@@ -232,8 +232,8 @@ def test_criterion_7_shift_equivariance():
 
 def test_criterion_8_laplacian_validity():
     rng = np.random.default_rng(8)
-    trips = [TripRecord(int(rng.integers(0, 24)), int(rng.integers(1, 366)), 365,
-                        int(rng.integers(1, 14)), int(rng.integers(1, 14)))
+    trips = [(int(rng.integers(0, 24)), int(rng.integers(1, 366)), 365,
+              int(rng.integers(1, 14)), int(rng.integers(1, 14)))
              for _ in range(2000)]
     data = trips_to_dataset(trips, 13)
     cap = data.space.c_w

@@ -322,6 +322,28 @@ def _malformed_cv_bandwidth(d):
             "--query", "0,0", "--out", str(d / "o.csv")], "bandwidths must be numbers"
 
 
+def _fit_with_cv_file(d, text):
+    path, _ = write_scalar_dataset(d, np.ones(5))
+    (d / "cv.json").write_text(text)
+    return ["fit", "--data", str(path), "--estimator", "lc", "--cv", str(d / "cv.json"),
+            "--query", "0,0", "--out", str(d / "o.csv")]
+
+
+_CV_BANDWIDTHS = "cv.json: best_h bandwidths must be numbers"
+
+
+def _bool_cv_bandwidth(d):
+    return _fit_with_cv_file(d, '{"best_h": [true, true]}'), _CV_BANDWIDTHS
+
+
+def _string_cv_bandwidth(d):
+    return _fit_with_cv_file(d, '{"best_h": ["0.5", "0.5"]}'), _CV_BANDWIDTHS
+
+
+def _null_cv_bandwidth(d):
+    return _fit_with_cv_file(d, '{"best_h": [null, 0.5]}'), _CV_BANDWIDTHS
+
+
 def _non_finite_dataset_angle(d):
     (d / "data.csv").write_text("theta_1,theta_2,response\n0.1,0.2,1.5\ninf,0.4,2.5\n")
     (d / "data.csv.space.json").write_text('{"kind":"scalar","lo":-10,"hi":10}')
@@ -408,6 +430,7 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
 @pytest.mark.parametrize("case", [_malformed_object_response, _malformed_descriptor_field,
                                   _malformed_config_value, _missing_descriptor,
                                   _header_only_trips, _malformed_cv_bandwidth,
+                                  _bool_cv_bandwidth, _string_cv_bandwidth, _null_cv_bandwidth,
                                   _non_finite_dataset_angle, _non_finite_query,
                                   _huge_descriptor_field, _fractional_sphere_p,
                                   _fractional_laplacian_k, _fractional_wasserstein_grid,

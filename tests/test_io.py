@@ -8,7 +8,6 @@ import pytest
 from torfrech.errors import DatasetFormatError, EmptyDatasetError, PayloadError
 from torfrech.frechet import Dataset
 from torfrech.io import (
-    TripRecord,
     encode_time_to_torus,
     load_dataset,
     read_trips,
@@ -213,8 +212,7 @@ def test_encode_time_injective():
 
 
 def test_trips_to_dataset_examples():
-    trips = [TripRecord(3, 10, 365, 1, 2), TripRecord(3, 10, 365, 2, 1),
-             TripRecord(3, 10, 365, 1, 2)]
+    trips = [(3, 10, 365, 1, 2), (3, 10, 365, 2, 1), (3, 10, 365, 1, 2)]
     data = trips_to_dataset(trips, 2)
     assert data.n == 1
     assert np.array_equal(data.responses[0], [[3.0, -3.0], [-3.0, 3.0]])
@@ -224,7 +222,7 @@ def test_trips_to_dataset_examples():
 
 
 def test_trips_to_dataset_self_loops_dropped():
-    trips = [TripRecord(0, 1, 365, 1, 1), TripRecord(0, 1, 365, 2, 2)]
+    trips = [(0, 1, 365, 1, 1), (0, 1, 365, 2, 2)]
     data = trips_to_dataset(trips, 2)
     assert data.n == 1
     assert np.array_equal(data.responses[0], np.zeros((2, 2)))  # empty graph is valid
@@ -232,7 +230,7 @@ def test_trips_to_dataset_self_loops_dropped():
 
 
 def test_trips_to_dataset_clipping():
-    trips = [TripRecord(1, 2, 365, 1, 2)] * 8
+    trips = [(1, 2, 365, 1, 2)] * 8
     data = trips_to_dataset(trips, 2, c_w=5.0)
     assert data.space.c_w == 5.0
     assert np.array_equal(data.responses[0], [[5.0, -5.0], [-5.0, 5.0]])
@@ -245,13 +243,13 @@ def test_trips_to_dataset_matches_per_trip_reference(c_w):
     k = 5
     keys = [(int(rng.integers(0, 24)), int(rng.integers(1, 366)), int(rng.choice([365, 366])))
             for _ in range(7)]
-    trips = [TripRecord(*keys[rng.integers(len(keys))], int(rng.integers(1, k + 1)),
-                        int(rng.integers(1, k + 1))) for _ in range(300)]
+    trips = [(*keys[rng.integers(len(keys))], int(rng.integers(1, k + 1)),
+              int(rng.integers(1, k + 1))) for _ in range(300)]
     counts = {}
-    for rec in trips:
-        a = counts.setdefault((rec.doy_len, rec.day, rec.hour), np.zeros((k, k)))
-        if rec.origin != rec.dest:
-            a[rec.origin - 1, rec.dest - 1] += 1.0
+    for hour, day, doy_len, origin, dest in trips:
+        a = counts.setdefault((doy_len, day, hour), np.zeros((k, k)))
+        if origin != dest:
+            a[origin - 1, dest - 1] += 1.0
     observed = max(float((a + a.T).max()) for a in counts.values())
     assert observed > 2.0  # so the cap c_w = 2 clips some edges
     cap = observed if c_w is None else c_w
@@ -267,8 +265,8 @@ def test_trips_to_dataset_matches_per_trip_reference(c_w):
 
 def test_trips_to_dataset_outputs_validate():
     rng = np.random.default_rng(61)
-    trips = [TripRecord(int(rng.integers(0, 24)), int(rng.integers(1, 366)), 365,
-                        int(rng.integers(1, 14)), int(rng.integers(1, 14)))
+    trips = [(int(rng.integers(0, 24)), int(rng.integers(1, 366)), 365,
+              int(rng.integers(1, 14)), int(rng.integers(1, 14)))
              for _ in range(1000)]
     data = trips_to_dataset(trips, 13)
     for i in range(data.n):
@@ -279,7 +277,7 @@ def test_read_trips_validation(tmp_path):
     path = tmp_path / "trips.csv"
     path.write_text("hour,day,doy_len,origin,dest\n3,10,365,1,2\n")
     trips = read_trips(path, 2)
-    assert trips == [TripRecord(3, 10, 365, 1, 2)]
+    assert trips.dtype == np.int64 and trips.tolist() == [[3, 10, 365, 1, 2]]
     path.write_text("hour,day,doy_len,origin,dest\n25,10,365,1,2\n")
     with pytest.raises(DatasetFormatError, match="row 1"):
         read_trips(path, 2)
@@ -289,6 +287,51 @@ def test_read_trips_validation(tmp_path):
     path.write_text("bad,header\n")
     with pytest.raises(DatasetFormatError, match="header"):
         read_trips(path, 2)
+
+
+_GOOD_TRIP = ["3", "10", "365", "1", "2"]
+_BAD_TRIPS = {  # (row, the message it gets when read alone, at k = 3 regions)
+    "non-integer": (["3", "x", "365", "1", "2"], "invalid literal for int() with base 10: 'x'"),
+    "short": (["3", "10", "365", "1"], "expected 5 fields, got 4"),
+    "long": (["3", "10", "365", "1", "2", "2"], "expected 5 fields, got 6"),
+    # the cells are converted before the fields are counted
+    "short, non-integer": (["3", "1.5", "365", "1"],
+                           "invalid literal for int() with base 10: '1.5'"),
+    "doy_len 364": (["3", "10", "364", "1", "2"],
+                    "day-of-year length must be 365 or 366, got 364"),
+    "hour 24": (["24", "10", "365", "1", "2"], "hour must be in 0..23, got 24"),
+    "day 366 of 365": (["3", "366", "365", "1", "2"], "day must be in 1..365, got 366"),
+    "region 0": (["3", "10", "365", "1", "0"], "region indices are 1-based"),
+    "region k + 1": (["3", "10", "365", "4", "2"], "region index out of range 1..3"),
+    "beyond int64": (["3", str(2 ** 63), "365", "1", "2"], f"day must be in 1..365, got {2 ** 63}"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_BAD_TRIPS))
+@pytest.mark.parametrize("position", [1, 4])
+@pytest.mark.parametrize("then_other_faults", [True, False])
+def test_read_trips_names_the_first_bad_row(tmp_path, fault, position, then_other_faults):
+    bad, message = _BAD_TRIPS[fault]
+    path = tmp_path / "trips.csv"
+
+    def write(rows):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["hour", "day", "doy_len", "origin", "dest"]] + rows)
+
+    write([bad])
+    with pytest.raises(DatasetFormatError) as alone:
+        read_trips(path, 3)
+    assert str(alone.value) == f"{path} row 1: {message}"
+    with pytest.raises(ValueError) as batch:  # library rows get the same checks
+        trips_to_dataset([bad], 3)
+    assert str(batch.value) == message
+    # the rows after it, each with another fault, include ones whose column the
+    # batch checks first; without them the bad row is the last
+    after = [row for other, (row, _) in _BAD_TRIPS.items() if other != fault]
+    write([_GOOD_TRIP] * (position - 1) + [bad] + (after if then_other_faults else []))
+    with pytest.raises(DatasetFormatError) as first:
+        read_trips(path, 3)
+    assert str(first.value) == f"{path} row {position}: {message}"
 
 
 def test_descriptor_sidecar(tmp_path):
