@@ -18,12 +18,13 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .bandwidth import GridSpec, two_stage_search
 from .errors import NumericalError
 from .frechet import OK, Dataset, fit_queries
-from .io import (load_dataset, load_space, read_json, read_trips, save_dataset,
-                 trips_to_dataset, write_json)
+from .io import (file_errors, load_dataset, load_space, read_json, read_trips,
+                 save_dataset, trips_to_dataset, write_json)
 from .kernels import BandwidthVector, KernelFamily
 from .metric import finite_number
 from .simulate import SimConfig, run_study
@@ -84,30 +85,28 @@ def _merge_config(ctx, config_path, names):
     """Fill parameters the user left at their defaults from the JSON object in the
     config file. Each key must be one of `names`, and each value a string or a
     finite number, converted by its flag's type."""
-    from click.core import ParameterSource
-
     config = {} if config_path is None else read_json(config_path, "config file")
-    if not isinstance(config, dict):
-        raise ValueError(f"{config_path}: the config file must hold a JSON object")
-    unknown = sorted(set(config) - set(names))
-    if unknown:
-        raise ValueError(f"{config_path}: unknown config key(s) {', '.join(map(repr, unknown))}"
-                         f"; {ctx.command.name} takes {', '.join(names)}")
-    params = {p.name: p for p in ctx.command.params}
-    out = {}
-    for name in names:
-        if name in config and \
-                ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
-            value = config[name]
-            if not (isinstance(value, str) or finite_number(value)):
-                raise ValueError(f"config key {name!r} must be a string or a finite number, "
-                                 f"got {json.dumps(value)}")
-            try:
-                out[name] = params[name].type.convert(value, params[name], ctx)
-            except click.BadParameter as exc:
-                raise ValueError(f"config key {name!r}: {exc.message}") from None
-        else:
-            out[name] = ctx.params[name]
+    params, out = {p.name: p for p in ctx.command.params}, {}
+    with file_errors(config_path):
+        if not isinstance(config, dict):
+            raise ValueError("the config file must hold a JSON object")
+        unknown = sorted(set(config) - set(names))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                             f"{ctx.command.name} takes {', '.join(names)}")
+        for name in names:
+            if name in config and \
+                    ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
+                value = config[name]
+                if not (isinstance(value, str) or finite_number(value)):
+                    raise ValueError(f"config key {name!r} must be a string or a finite "
+                                     f"number, got {json.dumps(value)}")
+                try:
+                    out[name] = params[name].type.convert(value, params[name], ctx)
+                except click.BadParameter as exc:
+                    raise ValueError(f"config key {name!r}: {exc.message}") from None
+            else:
+                out[name] = ctx.params[name]
     return out
 
 
@@ -138,17 +137,18 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
     if bandwidth is not None and cv_path is not None:
         raise click.UsageError("--bandwidth and --cv are mutually exclusive")
     if cv_path is not None:
-        blob = read_json(cv_path, "--cv file")
-        if not isinstance(blob, dict) or not isinstance(blob.get("best_h"), list):
-            raise ValueError(f"{cv_path}: the --cv file must hold a JSON object with a "
-                             f"best_h list")
-        h_values = blob["best_h"]
-        if not all(map(finite_number, h_values)):
-            raise ValueError(f"{cv_path}: best_h bandwidths must be numbers, finite and "
-                             f"not bools; got {json.dumps(h_values)}")
+        with file_errors(cv_path):
+            blob = read_json(cv_path, "--cv file")
+            if not isinstance(blob, dict) or not isinstance(blob.get("best_h"), list):
+                raise ValueError("the --cv file must hold a JSON object with a best_h list")
+            if not all(map(finite_number, blob["best_h"])):
+                raise ValueError(f"best_h bandwidths must be numbers, finite and not bools; "
+                                 f"got {json.dumps(blob['best_h'])}")
+            h = BandwidthVector(blob["best_h"])
+            if h.dim != dataset.dim:
+                raise ValueError(f"bandwidth dimension {h.dim} != data dimension {dataset.dim}")
     else:
-        h_values = _parse_floats(bandwidth, "--bandwidth")
-    h = BandwidthVector(h_values)
+        h = BandwidthVector(_parse_floats(bandwidth, "--bandwidth"))
     if not queries:
         raise click.UsageError("provide at least one --query")
     angles = []

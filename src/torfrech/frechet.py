@@ -326,7 +326,7 @@ class QueryBatch:
         k, (left_rows, iu), (right_rows, iv) = sides or (
             d, (hs, np.arange(c)), (hs[:1, d:], np.zeros(c, dtype=int)))
         (u, v), theta = (len(left_rows), len(right_rows)), self.theta.transpose(2, 0, 1)
-        table = np.empty((c, q, 1 + d, 1 + d))
+        table = np.zeros((c, q, 1 + d, 1 + d))
         # query slices keep left rows, their buffer and right rows times (1, theta) in the cap
         step = max(1, QUERY_CHUNK_CELLS // (n * max(u, (1 + d) * v * (sides is not None))))
         for i in range(0, q, step):
@@ -342,10 +342,10 @@ class QueryBatch:
                 right = right.reshape(s, -1, n).transpose(0, 2, 1)
                 right, right_theta = right[..., :v], right[..., v:]
             left = left.swapaxes(0, 1)
+            table[:, qs, 0, 0] = np.matmul(left, right)[:, iu, iv].T  # mu0; mu1 is row 0's rest
             buf = np.empty(left.shape)
             for j, f in enumerate([None, *theta[:, qs]]):
                 rows = left if f is None else np.multiply(left, f[:, None], out=buf)
-                table[:, qs, j, 0] = np.matmul(rows, right)[:, iu, iv].T
                 table[:, qs, j, 1:] = np.matmul(rows, right_theta).reshape(s, u, d, v)[
                     :, iu, :, iv]
             del left, right, right_theta, buf, rows  # before the next slice allocates its own

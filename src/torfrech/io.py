@@ -1,28 +1,29 @@
 """Dataset files and the trip-record ingestion pipeline.
 
-Datasets are CSV files with columns theta_1..theta_d holding predictor
-angles and a final `response` column holding the JSON-encoded payload; the
-response space travels in a JSON sidecar descriptor. Floats are written with
-repr so a save/load round trip is lossless. Save and load check all rows as one
-`space.stack`; a bad file is read again row by row to name its first bad row.
+Datasets are CSV files with columns theta_1..theta_d holding predictor angles
+and a final `response` column holding the JSON-encoded payload; the response
+space travels in a JSON sidecar descriptor. Floats are written with repr so a
+save/load round trip is lossless. Trips are one (m, 5) int64 array of rows
+(hour, day, doy_len, origin, dest); `trips_to_dataset` groups them by (doy_len,
+day, hour) with one np.unique into a graph-Laplacian Dataset in sorted key order.
 
-A set of trips is one (m, 5) int64 array of rows (hour, day, doy_len, origin,
-dest), checked in one pass; a bad trips file is read again row by row to name
-its first bad row. `trips_to_dataset` groups the rows by (doy_len, day, hour)
-with one np.unique into a graph-Laplacian Dataset in sorted key order: symmetric
-trip counts between region pairs, self-loops dropped, clipped at the edge-weight
-cap. A trips file without rows is an EmptyDatasetError.
+An error in reading a file names it: `file_errors(path)` makes a ValueError or
+csv.Error (such as a cell over csv's field size limit) a DatasetFormatError
+"<path>: <message>". Dataset and trips files share one reader, `_read_csv`,
+which checks all rows as one batch; when that fails it checks them one by one,
+and the first to fail raises "<path> row <n>: <message>".
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 
 import numpy as np
 
-from .errors import DatasetFormatError, EmptyDatasetError, PayloadError
+from .errors import DatasetFormatError, EmptyDatasetError, TorfrechError
 from .frechet import Dataset
 from .metric import GraphLaplacianSpace, ResponseSpace, space_from_json
 from .torus import TorusPoint, canonicalize
@@ -63,13 +64,49 @@ def read_json(path, what: str):
         raise DatasetFormatError(f"{path}: the {what} is not valid JSON ({exc})") from None
 
 
+@contextlib.contextmanager
+def file_errors(path):
+    """Name `path` in what goes wrong reading it: a ValueError or csv.Error becomes a
+    DatasetFormatError "<path>: <message>"; the package's own errors name it already."""
+    try:
+        yield
+    except TorfrechError:
+        raise
+    except (ValueError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
+        raise DatasetFormatError(f"{path}: {exc}") from None
+
+
 def load_space(descriptor_path) -> ResponseSpace:
     """Read a space descriptor; any failure is a DatasetFormatError naming the file."""
     obj = read_json(descriptor_path, "space descriptor")
-    try:
+    with file_errors(descriptor_path):
         return space_from_json(obj)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{descriptor_path}: {exc}") from None
+
+
+def _read_csv(path, header_ok, header_text: str, what: str, check):
+    """check(header, rows) of a CSV file with at least one row below its header. Rows
+    that fail as a batch are checked one by one: the first to fail names itself, as
+    "<path> row <n>: <message>" (1-based), a DatasetFormatError unless a package error."""
+    with file_errors(path), open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDatasetError(f"{path}: file is empty")
+        if not header_ok(header):
+            raise ValueError(f"header must be {header_text}; got {header}")
+        rows = list(reader)
+        if not rows:
+            raise EmptyDatasetError(f"{path}: no {what} rows")
+        try:
+            return check(header, rows)
+        except ValueError:
+            for rownum, row in enumerate(rows, start=1):
+                try:
+                    check(header, [row])
+                except ValueError as exc:
+                    error = type(exc) if isinstance(exc, TorfrechError) else DatasetFormatError
+                    raise error(f"{path} row {rownum}: {exc}") from None
+            raise
 
 
 def _read_rows(rows: list, dim: int, space: ResponseSpace):
@@ -102,29 +139,11 @@ def load_dataset(path, space: ResponseSpace | None = None,
     """
     if space is None:
         space = load_space(descriptor_path or default_descriptor_path(path))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file is empty") from None
-        if len(header) < 2 or header[-1] != "response" or \
-                header[:-1] != [f"theta_{i + 1}" for i in range(len(header) - 1)]:
-            raise DatasetFormatError(
-                f"{path}: header must be theta_1..theta_d,response; got {header}")
-        dim, rows = len(header) - 1, list(reader)
-    if not rows:
-        raise EmptyDatasetError(f"{path}: no data rows")
-    try:
-        angles, responses = _read_rows(rows, dim, space)
-    except ValueError:  # the first row that fails as a batch of one names itself
-        for rownum, row in enumerate(rows, start=1):
-            try:
-                _read_rows([row], dim, space)
-            except (DatasetFormatError, PayloadError) as exc:
-                raise type(exc)(f"{path} row {rownum}: {exc}") from None
-        raise
-    return Dataset(space, angles, responses)
+    return Dataset(space, *_read_csv(
+        path, lambda header: len(header) >= 2 and header == [
+            *(f"theta_{i}" for i in range(1, len(header))), "response"],
+        "theta_1..theta_d,response", "data",
+        lambda header, rows: _read_rows(rows, len(header) - 1, space)))
 
 
 TRIPS_HEADER = ["hour", "day", "doy_len", "origin", "dest"]
@@ -159,27 +178,8 @@ def _checked_trips(rows, n_nodes: int) -> np.ndarray:
 def read_trips(path, n_nodes: int) -> np.ndarray:
     """Parse a trips CSV (header hour,day,doy_len,origin,dest) with at least one row
     into its checked (m, 5) int64 array; errors name the first bad row (1-based)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file is empty") from None
-        if header != TRIPS_HEADER:
-            raise DatasetFormatError(
-                f"{path}: header must be {','.join(TRIPS_HEADER)}; got {header}")
-        rows = list(reader)
-    if not rows:
-        raise EmptyDatasetError(f"{path}: no trip rows")
-    try:
-        return _checked_trips(rows, n_nodes)
-    except ValueError:  # the first row that fails as a batch of one names itself
-        for rownum, row in enumerate(rows, start=1):
-            try:
-                _checked_trips([row], n_nodes)
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path} row {rownum}: {exc}") from None
-        raise
+    return _read_csv(path, lambda header: header == TRIPS_HEADER, ",".join(TRIPS_HEADER),
+                     "trip", lambda header, rows: _checked_trips(rows, n_nodes))
 
 
 def encode_time_to_torus(i1: int, i2: int, doy_len: int) -> TorusPoint:

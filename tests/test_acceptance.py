@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The first criterion runs
-the full desk-scale simulation study through the CLI and takes 25-30 s
+the full desk-scale simulation study through the CLI and takes about 14 s
 on 2 vCPUs; everything else is fast.
 """
 

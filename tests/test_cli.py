@@ -412,6 +412,46 @@ def _invalid_json_cv_file(d):
             "--query", "0,0", "--out", str(d / "o.csv")], "cv.json"
 
 
+_LONG_CELL = "9" * 140_000  # over csv's default field size limit of 131,072 characters
+
+
+def _over_long_response_cell(d):
+    (d / "data.csv").write_text(f"theta_1,theta_2,response\n0.1,0.2,1.5\n0.3,0.4,{_LONG_CELL}\n")
+    (d / "data.csv.space.json").write_text('{"kind":"scalar","lo":-10,"hi":10}')
+    return ["fit", "--data", str(d / "data.csv"), "--estimator", "lc", "--bandwidth", "0.5,0.5",
+            "--query", "0,0", "--out", str(d / "o.csv")], "data.csv: field larger than"
+
+
+def _over_long_trips_cell(d):
+    (d / "trips.csv").write_text(
+        f"hour,day,doy_len,origin,dest\n3,10,365,1,2\n3,10,365,1,{_LONG_CELL}\n")
+    return ["ingest-network", "--trips", str(d / "trips.csv"), "--k", "2",
+            "--out", str(d / "net.csv")], "trips.csv: field larger than"
+
+
+def _non_utf8_dataset(d):
+    (d / "data.csv").write_bytes(b"theta_1,theta_2,response\n0.1,0.2,1.5\n0.3,0.4,\xff\n")
+    (d / "data.csv.space.json").write_text('{"kind":"scalar","lo":-10,"hi":10}')
+    return ["cv", "--data", str(d / "data.csv"), "--estimator", "lc",
+            "--out", str(d / "cv.json")], "data.csv: 'utf-8' codec can't decode"
+
+
+def _non_utf8_trips(d):
+    (d / "trips.csv").write_bytes(b"hour,day,doy_len,origin,dest\n3,10,365,1,\xff\n")
+    return ["ingest-network", "--trips", str(d / "trips.csv"), "--k", "2",
+            "--out", str(d / "net.csv")], "trips.csv: 'utf-8' codec can't decode"
+
+
+def _negative_cv_bandwidth(d):
+    return (_fit_with_cv_file(d, '{"best_h": [-0.5, 0.5]}'),
+            "cv.json: all bandwidths must be finite and strictly positive")
+
+
+def _short_cv_bandwidth(d):
+    return (_fit_with_cv_file(d, '{"best_h": [0.5]}'),
+            "cv.json: bandwidth dimension 1 != data dimension 2")
+
+
 def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner):
     # the sidecar names k = 2000 nodes; the payloads are 3 x 3 Laplacians
     rows = ["theta_1,theta_2,response"]
@@ -436,7 +476,10 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
                                   _fractional_laplacian_k, _fractional_wasserstein_grid,
                                   _huge_config_value,
                                   _invalid_json_config, _non_object_config,
-                                  _unknown_config_key, _invalid_json_cv_file])
+                                  _unknown_config_key, _invalid_json_cv_file,
+                                  _over_long_response_cell, _over_long_trips_cell,
+                                  _non_utf8_dataset, _non_utf8_trips, _negative_cv_bandwidth,
+                                  _short_cv_bandwidth])
 def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, case):
     args, culprit = case(tmp_path)
     result = runner.invoke(main, args)
@@ -452,7 +495,8 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
                                                                 max_size=2),
     max_leaves=5)
-_JUNK = _JSON.map(json.dumps) | st.text(alphabet='0123456789.-+eEinfa,[]{}" x', max_size=8)
+_JUNK = (_JSON.map(json.dumps) | st.text(alphabet='0123456789.-+eEinfa,[]{}" x', max_size=8)
+         | st.just(_LONG_CELL))
 _DATA_ROW = st.tuples(st.floats(-4.0, 4.0).map(repr), st.floats(-4.0, 4.0).map(repr),
                       st.floats(-9.0, 9.0).map(json.dumps))
 _TRIP_ROW = st.tuples(st.integers(0, 23), st.integers(1, 365), st.just(365),
