@@ -28,6 +28,7 @@ from .io import (file_errors, load_dataset, load_space, read_json, read_trips,
 from .kernels import BandwidthVector, KernelFamily
 from .metric import finite_number
 from .simulate import SimConfig, run_study
+from .torus import canonicalize
 
 
 def _cli_errors(fn):
@@ -48,8 +49,7 @@ def _parse_floats(text: str, what: str) -> list:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise click.UsageError(f"could not parse {what} {text!r} as comma-separated "
-                               f"numbers") from None
+        raise ValueError(f"could not parse {what} {text!r} as comma-separated numbers") from None
 
 
 def _parse_grid1(spec: str, dim: int, stage2_fraction: float,
@@ -63,29 +63,26 @@ def _parse_grid1(spec: str, dim: int, stage2_fraction: float,
         if ":" in seg:
             parts = seg.split(":")
             if len(parts) != 3:
-                raise click.UsageError(f"grid segment {seg!r} must be start:stop:count")
+                raise ValueError(f"grid segment {seg!r} must be start:stop:count")
             try:
                 start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             except ValueError:
-                raise click.UsageError(f"could not parse grid segment {seg!r}") from None
+                raise ValueError(f"could not parse grid segment {seg!r}") from None
             axes.append(tuple(np.linspace(start, stop, count)))
         else:
             axes.append(tuple(_parse_floats(seg, "grid segment")))
     if len(axes) == 1 and dim > 1:
         axes = axes * dim
     if len(axes) != dim:
-        raise click.UsageError(f"grid has {len(axes)} axes but the data has {dim}")
-    try:
-        return GridSpec(tuple(axes), stage2_fraction, stage2_halfwidth)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise ValueError(f"grid has {len(axes)} axes but the data has {dim}")
+    return GridSpec(tuple(axes), stage2_fraction, stage2_halfwidth)
 
 
 def _merge_config(ctx, config_path, names):
     """Fill parameters the user left at their defaults from the JSON object in the
     config file. Each key must be one of `names`, and each value a string or a
     finite number, converted by its flag's type."""
-    config = {} if config_path is None else read_json(config_path, "config file")
+    config = {} if config_path is None else read_json(config_path)
     params, out = {p.name: p for p in ctx.command.params}, {}
     with file_errors(config_path):
         if not isinstance(config, dict):
@@ -138,9 +135,13 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
         raise click.UsageError("--bandwidth and --cv are mutually exclusive")
     if cv_path is not None:
         with file_errors(cv_path):
-            blob = read_json(cv_path, "--cv file")
+            blob = read_json(cv_path)
             if not isinstance(blob, dict) or not isinstance(blob.get("best_h"), list):
                 raise ValueError("the --cv file must hold a JSON object with a best_h list")
+            for key, flag in (("estimator", estimator), ("kernel", fam.value)):
+                if blob.get(key, flag) != flag:
+                    raise ValueError(f"best_h was searched with {key} {blob[key]!r}, "
+                                     f"not {flag!r}")
             if not all(map(finite_number, blob["best_h"])):
                 raise ValueError(f"best_h bandwidths must be numbers, finite and not bools; "
                                  f"got {json.dumps(blob['best_h'])}")
@@ -157,8 +158,7 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"--query #{i} {q!r} has a non-finite angle")
         if len(vals) != dataset.dim:
-            raise click.UsageError(f"query row {i} has {len(vals)} angles, "
-                                   f"expected {dataset.dim}")
+            raise ValueError(f"query row {i} has {len(vals)} angles, expected {dataset.dim}")
         angles.append(vals)
     angles = np.array(angles)
     fits = fit_queries(dataset, angles, h, fam, estimator)
@@ -268,9 +268,13 @@ def cmd_eval(pred, truth, space_path, out):
     space = load_space(space_path)
     pred_data = load_dataset(pred, space=space)
     truth_data = load_dataset(truth, space=space)
-    if pred_data.n != truth_data.n:
-        raise click.UsageError(f"row counts differ: {pred_data.n} predictions vs "
-                               f"{truth_data.n} truths")
+    if pred_data.angles.shape != truth_data.angles.shape:
+        raise ValueError(f"{pred} holds {pred_data.n} rows of {pred_data.dim} angles, "
+                         f"{truth} {truth_data.n} rows of {truth_data.dim}")
+    moved = np.abs(canonicalize(pred_data.angles - truth_data.angles)).max(axis=1) > 1e-9
+    if moved.any():  # 1e-9 rad: a re-read fit output is wrapped twice, so not bit-equal
+        raise ValueError(f"row {np.argmax(moved) + 1} of {pred} and of {truth} holds "
+                         f"different angles")
     d2 = space.pairwise_dist2(pred_data.responses, truth_data.responses)
     write_json(out, {"count": int(pred_data.n),
                      "mean_squared_distance": float(d2.mean()),

@@ -16,7 +16,7 @@ class PayloadError(TorfrechError, ValueError):
 
 
 class DatasetFormatError(TorfrechError, ValueError):
-    """An input file failed to parse; the message names the file (and row)."""
+    """A file could not be read, parsed or written; the message names the file (and row)."""
 
 
 class EmptyDatasetError(DatasetFormatError):

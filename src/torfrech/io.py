@@ -7,11 +7,11 @@ save/load round trip is lossless. Trips are one (m, 5) int64 array of rows
 (hour, day, doy_len, origin, dest); `trips_to_dataset` groups them by (doy_len,
 day, hour) with one np.unique into a graph-Laplacian Dataset in sorted key order.
 
-An error in reading a file names it: `file_errors(path)` makes a ValueError or
-csv.Error (such as a cell over csv's field size limit) a DatasetFormatError
-"<path>: <message>". Dataset and trips files share one reader, `_read_csv`,
-which checks all rows as one batch; when that fails it checks them one by one,
-and the first to fail raises "<path> row <n>: <message>".
+An error in reading or writing a file names it: every file here is opened under
+`file_errors(path)`, which makes an OSError, ValueError or csv.Error (such as a cell
+over csv's field size limit) a DatasetFormatError "<path>: <reason>". Dataset and
+trips files share one reader, `_read_csv`, which checks all rows as one batch; if
+that fails it checks them one by one, and the first to fail raises "<path> row <n>: ...".
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .torus import TorusPoint, canonicalize
 
 def write_json(path, obj) -> None:
     """Write a JSON file: sorted keys, indent 2, trailing newline."""
-    with open(path, "w") as fh:
+    with file_errors(path), open(path, "w") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
@@ -44,7 +44,7 @@ def save_dataset(path, dataset: Dataset) -> None:
     stacked = dataset.space.stack(dataset.responses)
     # payload_to_json's compact JSON as json.dumps writes it: each finite float's repr
     flat, form = stacked.reshape(dataset.n, -1), "{}" if stacked.ndim == 1 else "[{}]"
-    with open(path, "w", newline="") as fh:
+    with file_errors(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"theta_{i + 1}" for i in range(dataset.dim)] + ["response"])
         writer.writerows([*map(repr, a), form.format(",".join(map(repr, p.tolist())))]
@@ -52,35 +52,28 @@ def save_dataset(path, dataset: Dataset) -> None:
     write_json(default_descriptor_path(path), dataset.space.to_json())
 
 
-def read_json(path, what: str):
-    """Parse a JSON file; a file that cannot be read or parsed is a
-    DatasetFormatError naming the file and what it was meant to hold."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: cannot read the {what} ({exc.strerror})") from None
-    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
-        raise DatasetFormatError(f"{path}: the {what} is not valid JSON ({exc})") from None
+def read_json(path):
+    """Parse a JSON file under file_errors."""
+    with file_errors(path), open(path) as fh:
+        return json.load(fh)
 
 
 @contextlib.contextmanager
 def file_errors(path):
-    """Name `path` in what goes wrong reading it: a ValueError or csv.Error becomes a
-    DatasetFormatError "<path>: <message>"; the package's own errors name it already."""
+    """Raise what goes wrong reading or writing `path` (an OSError, ValueError or csv.Error)
+    as DatasetFormatError "<path>: <strerror or message>"; package errors pass through."""
     try:
         yield
     except TorfrechError:
         raise
-    except (ValueError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
-        raise DatasetFormatError(f"{path}: {exc}") from None
+    except (OSError, ValueError, csv.Error) as exc:  # csv.Error: a cell over its size limit
+        raise DatasetFormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def load_space(descriptor_path) -> ResponseSpace:
     """Read a space descriptor; any failure is a DatasetFormatError naming the file."""
-    obj = read_json(descriptor_path, "space descriptor")
     with file_errors(descriptor_path):
-        return space_from_json(obj)
+        return space_from_json(read_json(descriptor_path))
 
 
 def _read_csv(path, header_ok, header_text: str, what: str, check):

@@ -452,6 +452,81 @@ def _short_cv_bandwidth(d):
             "cv.json: bandwidth dimension 1 != data dimension 2")
 
 
+def _cv_file_for_another_estimator(d):
+    return (_fit_with_cv_file(d, '{"best_h": [0.5, 0.5], "estimator": "ll"}'),
+            "cv.json: best_h was searched with estimator 'll', not 'lc'")
+
+
+def _cv_file_for_another_kernel(d):
+    return (_fit_with_cv_file(d, '{"best_h": [0.5, 0.5], "kernel": "uniform"}'),
+            "cv.json: best_h was searched with kernel 'uniform', not 'vonmises'")
+
+
+def _unsplit_config_grid(d):
+    return _cv_with_config(d, '{"grid1": "0.1:1.0"}'), "'0.1:1.0' must be start:stop:count"
+
+
+def _eval(d, pred_angles, truth_angles):
+    space = ScalarSpace(-50, 50)
+    for name, angles in (("pred.csv", pred_angles), ("truth.csv", truth_angles)):
+        save_dataset(d / name, Dataset(space, angles, space.stack([0.0] * len(angles))))
+    return ["eval", "--pred", str(d / "pred.csv"), "--truth", str(d / "truth.csv"),
+            "--space", str(d / "pred.csv.space.json"), "--out", str(d / "e.json")]
+
+
+def _eval_across_dimensions(d):
+    angles = np.linspace(-3.0, 3.0, 8)
+    return (_eval(d, np.column_stack([angles, angles]), angles[:, None]),
+            "pred.csv holds 8 rows of 2 angles, ")
+
+
+def _eval_at_a_moved_angle(d):
+    angles = np.linspace(-3.0, 3.0, 8).reshape(4, 2)
+    moved = angles.copy()
+    moved[2, 1] += 1e-6
+    return _eval(d, angles, moved), "row 3 of "
+
+
+def _eval_across_row_counts(d):
+    angles = np.linspace(-3.0, 3.0, 8).reshape(4, 2)
+    return _eval(d, angles, angles[:3]), "truth.csv 3 rows of 2"
+
+
+def _write_into(out, args, d):
+    """args with --out in a directory that does not exist, and the error it must print."""
+    return args + ["--out", str(d / "missing" / out)], f"missing/{out}: No such file or directory"
+
+
+def _fit_into_a_missing_directory(d):
+    path, _ = write_scalar_dataset(d, np.arange(6.0))
+    args = ["fit", "--data", str(path), "--estimator", "lc", "--bandwidth", "0.5,0.5",
+            "--query", "0,0"]
+    # the diagnostics are the first file fit writes
+    return _write_into("o.csv", args, d)[0], "missing/o.csv.diag.json: No such file or directory"
+
+
+def _cv_into_a_missing_directory(d):
+    path, _ = write_scalar_dataset(d, np.arange(6.0))
+    return _write_into("cv.json", ["cv", "--data", str(path), "--estimator", "lc",
+                                   "--grid1", "0.5", "--k", "2"], d)
+
+
+def _simulate_into_a_missing_directory(d):
+    return _write_into("r.json", ["simulate", "--n", "15", "--reps", "1", "--quad", "10",
+                                  "--grid1", "0.5", "--estimators", "lc"], d)
+
+
+def _ingest_into_a_missing_directory(d):
+    (d / "trips.csv").write_text("hour,day,doy_len,origin,dest\n3,10,365,1,2\n")
+    return _write_into("net.csv", ["ingest-network", "--trips", str(d / "trips.csv"),
+                                   "--k", "2"], d)
+
+
+def _eval_into_a_missing_directory(d):
+    args = _eval(d, np.zeros((2, 2)), np.zeros((2, 2)))[:-2]  # without its --out
+    return _write_into("e.json", args, d)
+
+
 def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner):
     # the sidecar names k = 2000 nodes; the payloads are 3 x 3 Laplacians
     rows = ["theta_1,theta_2,response"]
@@ -479,7 +554,14 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
                                   _unknown_config_key, _invalid_json_cv_file,
                                   _over_long_response_cell, _over_long_trips_cell,
                                   _non_utf8_dataset, _non_utf8_trips, _negative_cv_bandwidth,
-                                  _short_cv_bandwidth])
+                                  _short_cv_bandwidth, _cv_file_for_another_estimator,
+                                  _cv_file_for_another_kernel, _unsplit_config_grid,
+                                  _eval_across_dimensions, _eval_at_a_moved_angle,
+                                  _eval_across_row_counts, _fit_into_a_missing_directory,
+                                  _cv_into_a_missing_directory,
+                                  _simulate_into_a_missing_directory,
+                                  _ingest_into_a_missing_directory,
+                                  _eval_into_a_missing_directory])
 def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, case):
     args, culprit = case(tmp_path)
     result = runner.invoke(main, args)

@@ -289,6 +289,17 @@ def test_read_trips_validation(tmp_path):
         read_trips(path, 2)
 
 
+def test_a_missing_file_is_a_format_error_naming_it(tmp_path):
+    path = tmp_path / "missing.csv"
+    message = f"{path}: No such file or directory"
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path, space=ScalarSpace(0, 1))
+    assert str(err.value) == message
+    with pytest.raises(DatasetFormatError) as err:
+        read_trips(path, 2)
+    assert str(err.value) == message
+
+
 _GOOD_TRIP = ["3", "10", "365", "1", "2"]
 _BAD_TRIPS = {  # (row, the message it gets when read alone, at k = 3 regions)
     "non-integer": (["3", "x", "365", "1", "2"], "invalid literal for int() with base 10: 'x'"),
