@@ -14,14 +14,16 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
+import tempfile
 
 import click
 import numpy as np
 from click.core import ParameterSource
 
-from .bandwidth import GridSpec, two_stage_search
-from .errors import NumericalError
+from .bandwidth import GridSpec, kfold_split, two_stage_search
+from .errors import DatasetFormatError, NumericalError
 from .frechet import OK, Dataset, fit_queries
 from .io import (file_errors, load_dataset, load_space, read_json, read_trips,
                  save_dataset, trips_to_dataset, write_json)
@@ -107,18 +109,33 @@ def _merge_config(ctx, config_path, names):
     return out
 
 
+def _config_checked(ctx, config_path, merged, build):
+    """build(merged), the values after the config merge. Its ValueError names the
+    config file, unless build(ctx.params), the values without the config, fails the
+    same way: then a flag or its default is at fault, and the message is left as is."""
+    try:
+        return build(merged)
+    except ValueError as exc:
+        try:
+            build(ctx.params)
+        except ValueError as again:
+            if str(again) == str(exc):
+                raise
+        raise DatasetFormatError(f"{config_path}: {exc}") from None
+
+
 @click.group()
 def main():
     """Local Fréchet regression with toroidal predictors."""
 
 
 @main.command("fit")
-@click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--space", "space_path", type=click.Path(exists=True, dir_okay=False),
+@click.option("--data", required=True, type=click.Path(dir_okay=False))
+@click.option("--space", "space_path", type=click.Path(dir_okay=False),
               help="Space descriptor JSON (default: <data>.space.json).")
 @click.option("--estimator", required=True, type=click.Choice(["lc", "ll"]))
 @click.option("--bandwidth", help="Comma-separated bandwidths h1,..,hd.")
-@click.option("--cv", "cv_path", type=click.Path(exists=True, dir_okay=False),
+@click.option("--cv", "cv_path", type=click.Path(dir_okay=False),
               help="CVResult JSON whose best_h supplies the bandwidth.")
 @click.option("--kernel", default="vonmises", show_default=True)
 @click.option("--query", "queries", multiple=True,
@@ -178,8 +195,8 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
 
 
 @main.command("cv")
-@click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--space", "space_path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--data", required=True, type=click.Path(dir_okay=False))
+@click.option("--space", "space_path", type=click.Path(dir_okay=False))
 @click.option("--estimator", required=True, type=click.Choice(["lc", "ll"]))
 @click.option("--kernel", default="vonmises", show_default=True)
 @click.option("--grid1", default="0.1:1.0:10", show_default=True,
@@ -191,7 +208,7 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
 @click.option("--k", default=5, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+@click.option("--config", "config_path", type=click.Path(dir_okay=False),
               help="JSON config merged under explicit flags.")
 @click.pass_context
 @_cli_errors
@@ -201,9 +218,10 @@ def cmd_cv(ctx, data, space_path, estimator, kernel, grid1, stage2_frac,
     merged = _merge_config(ctx, config_path, ["kernel", "grid1", "stage2_frac",
                                               "stage2_halfwidth", "k", "seed"])
     dataset = load_dataset(data, descriptor_path=space_path)
-    fam = KernelFamily.from_name(merged["kernel"])
-    grid = _parse_grid1(merged["grid1"], dataset.dim, merged["stage2_frac"],
-                        merged["stage2_halfwidth"])
+    fam, grid, _ = _config_checked(ctx, config_path, merged, lambda m: (
+        KernelFamily.from_name(m["kernel"]),
+        _parse_grid1(m["grid1"], dataset.dim, m["stage2_frac"], m["stage2_halfwidth"]),
+        kfold_split(dataset.n, m["k"], m["seed"])))  # the folds two_stage_search makes
     result = two_stage_search(dataset, fam, grid, k=merged["k"], seed=merged["seed"],
                               estimator=estimator)
     write_json(out, result.to_json())
@@ -220,7 +238,7 @@ def cmd_cv(ctx, data, space_path, estimator, kernel, grid1, stage2_frac,
 @click.option("--estimators", default="lc,ll", show_default=True)
 @click.option("--kernel", default="vonmises", show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--config", "config_path", type=click.Path(dir_okay=False))
 @click.pass_context
 @_cli_errors
 def cmd_simulate(ctx, n, sigma, reps, seed, quad, grid1, estimators, kernel, out,
@@ -228,12 +246,12 @@ def cmd_simulate(ctx, n, sigma, reps, seed, quad, grid1, estimators, kernel, out
     """Monte Carlo study on the 2-torus with sphere-valued responses."""
     merged = _merge_config(ctx, config_path, ["n", "sigma", "reps", "seed", "quad",
                                               "grid1", "estimators", "kernel"])
-    grid = _parse_grid1(merged["grid1"], 2, 0.25, 2)
-    sim_config = SimConfig(
-        n=merged["n"], sigma=merged["sigma"], reps=merged["reps"], seed=merged["seed"],
-        grid=grid, quad_per_axis=merged["quad"],
-        estimators=tuple(merged["estimators"].split(",")),
-        kernel=KernelFamily.from_name(merged["kernel"]))
+    sim_config = _config_checked(ctx, config_path, merged, lambda m: SimConfig(
+        n=m["n"], sigma=m["sigma"], reps=m["reps"], seed=m["seed"],
+        grid=_parse_grid1(m["grid1"], 2, 0.25, 2), quad_per_axis=m["quad"],
+        estimators=tuple(m["estimators"].split(",")), kernel=KernelFamily.from_name(m["kernel"])))
+    with file_errors(out), tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(out))):
+        pass  # --out in a directory that takes no file fails now, not after the study
     report = run_study(sim_config)
     write_json(out, report.to_json())
     click.echo(f"wall clock: {report.wall_clock_s:.1f}s", err=True)
@@ -243,7 +261,7 @@ def cmd_simulate(ctx, n, sigma, reps, seed, quad, grid1, estimators, kernel, out
 
 
 @main.command("ingest-network")
-@click.option("--trips", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--trips", required=True, type=click.Path(dir_okay=False))
 @click.option("--k", "n_nodes", required=True, type=int, help="Number of regions.")
 @click.option("--cw", type=float, help="Edge-weight cap (default: max observed).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
@@ -257,10 +275,10 @@ def cmd_ingest_network(trips, n_nodes, cw, out):
 
 
 @main.command("eval")
-@click.option("--pred", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--truth", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--pred", required=True, type=click.Path(dir_okay=False))
+@click.option("--truth", required=True, type=click.Path(dir_okay=False))
 @click.option("--space", "space_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+              type=click.Path(dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_cli_errors
 def cmd_eval(pred, truth, space_path, out):

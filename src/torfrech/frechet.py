@@ -54,11 +54,14 @@ _IDENTITY_TOL = 1e-10
 _SIGMA_GUARD = 100.0 * np.finfo(float).eps / _IDENTITY_TOL
 
 # Cap on (bandwidth, query) weight rows x observations per fit call, applied
-# by fit_chunks to fit and cross-validation alike. The arrays of one call that
-# scale with it: theta and gaps (d each, over q x n), the kernel values, the
-# weight rows and the mean solver's (rows x n) work arrays (five for the
-# sphere), and each moment table and its side rows (QueryBatch.moments).
-QUERY_CHUNK_CELLS = 32768
+# by fit_chunks to fit and cross-validation alike, one value for every space.
+# Each call of an iterative mean solver pays its own iteration tail, and a loop
+# trip costs much the same for a few active rows as for many, so fewer, larger
+# calls pay fewer tails. The arrays of one call that scale with the cap: theta
+# and gaps (d each, over q x n), the kernel values, the weight rows and the mean
+# solver's (rows x n) work arrays (five for the sphere), and each moment table
+# and its side rows (QueryBatch.moments).
+QUERY_CHUNK_CELLS = 65536
 
 LOCAL_CONSTANT = "lc"
 LOCAL_LINEAR = "ll"
@@ -388,9 +391,9 @@ class QueryBatch:
 
 def fit_chunks(data: Dataset, query_angles, h, kernel: KernelFamily, estimator: str):
     """Yield (bandwidth slice, query slice, QueryFits) over one BandwidthVector
-    or a (C, d) stack: query slices of QUERY_CHUNK_CELLS // n, one QueryBatch
-    each, fit their bandwidths in stacks of at most QUERY_CHUNK_CELLS rows x
-    observations (one row per call when n exceeds it).
+    or a (C, d) stack: query slices of QUERY_CHUNK_CELLS (65,536) // n, one
+    QueryBatch each, fit their bandwidths in stacks of at most QUERY_CHUNK_CELLS
+    rows x observations (one row per call when n exceeds it).
 
     A local linear stack sharing per-axis factors (_sides) gets b and sigma from
     one moment table per query slice, whose (1 + d)^2 cells a row fit the cap.

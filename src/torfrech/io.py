@@ -5,7 +5,8 @@ and a final `response` column holding the JSON-encoded payload; the response
 space travels in a JSON sidecar descriptor. Floats are written with repr so a
 save/load round trip is lossless. Trips are one (m, 5) int64 array of rows
 (hour, day, doy_len, origin, dest); `trips_to_dataset` groups them by (doy_len,
-day, hour) with one np.unique into a graph-Laplacian Dataset in sorted key order.
+day, hour), as one int64 key a row and one np.unique, into a graph-Laplacian
+Dataset in sorted key order.
 
 An error in reading or writing a file names it: every file here is opened under
 `file_errors(path)`, which makes an OSError, ValueError or csv.Error (such as a cell
@@ -197,15 +198,17 @@ def trips_to_dataset(trips, n_nodes: int, c_w: float | None = None) -> Dataset:
     trips = _checked_trips(trips, n_nodes)
     if not len(trips):
         raise EmptyDatasetError("no trip groups to aggregate")
-    keys, group = np.unique(trips[:, 2::-1], axis=0, return_inverse=True)
-    counts = np.zeros((len(keys), n_nodes, n_nodes))
+    # one int64 key a row, sorting as (doy_len, day, hour) does: day < 367, hour < 24
+    _, first, group = np.unique((trips[:, 2] * 367 + trips[:, 1]) * 24 + trips[:, 0],
+                                return_index=True, return_inverse=True)
+    counts = np.zeros((len(first), n_nodes, n_nodes))
     np.add.at(counts, (group, trips[:, 3] - 1, trips[:, 4] - 1), 1.0)
     iu, ju = np.triu_indices(n_nodes, 1)
     edges = counts[:, iu, ju] + counts[:, ju, iu]  # self-loops sit on the unread diagonal
     if c_w is None:
         c_w = float(edges.max()) or 1.0  # an edgeless sample still needs a positive cap
     space = GraphLaplacianSpace(n_nodes, c_w)
-    doy_len, day, hour = keys.T  # wrapped as by TorusPoint, then again by Dataset
+    hour, day, doy_len = trips[first, :3].T  # wrapped as by TorusPoint, then again by Dataset
     angles = canonicalize(np.column_stack([2.0 * math.pi * (hour + 0.5) / 24.0,
                                            2.0 * math.pi * (day - 0.5) / doy_len]))
     return Dataset(space, angles, space.edge_weights_to_laplacian(np.minimum(edges, space.c_w)))

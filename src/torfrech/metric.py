@@ -299,8 +299,10 @@ class SphereSpace(ResponseSpace):
         # samples and the antipodes of the most negatively weighted ones, picked by
         # repeated argmin (ties go to the lowest index).
         top = min(_SPHERE_START_SAMPLES, n)
-        picks, all_rows = np.empty((2, top, q), dtype=int), np.arange(q)
-        for order, sign in zip(picks, (-1.0, 1.0)):  # highest weights, then lowest
+        picks, all_rows = np.zeros((2, top, q), dtype=int), np.arange(q)
+        # without a negative weight every antipode start is dead whatever sample it
+        # names, so the lowest-weight picks are skipped (w.min() allocates no q x n array)
+        for order, sign in zip(picks[:1 + (w.min() < 0.0)], (-1.0, 1.0)):  # highest, lowest
             key = np.multiply(w, sign, out=s_buf)
             for j in range(top):
                 order[j] = np.argmin(key, axis=1)
@@ -334,7 +336,7 @@ class SphereSpace(ResponseSpace):
             yc = np.cos(theta) * y[idx] + v * np.divide(
                 np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
             yc /= np.sqrt(np.einsum("rm,rm->r", yc, yc))[:, None]
-            wc = np.take(w, idx, axis=0, out=w_buf[:k], mode="clip")
+            wc = w if k == q else np.take(w, idx, axis=0, out=w_buf[:k], mode="clip")
             s = np.clip(np.matmul(yc, pts.T, out=s_buf[:k]), -1.0, 1.0, out=s_buf[:k])
             d = np.arccos(s, out=d_buf[:k])
             fc = np.einsum("rn,rn->r", wc, np.multiply(d, d, out=t_buf[:k]))

@@ -10,7 +10,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torfrech import cli
 from torfrech.cli import main
+from torfrech.errors import NumericalError
 from torfrech.frechet import (
     QUERY_CHUNK_CELLS,
     Dataset,
@@ -463,7 +465,101 @@ def _cv_file_for_another_kernel(d):
 
 
 def _unsplit_config_grid(d):
-    return _cv_with_config(d, '{"grid1": "0.1:1.0"}'), "'0.1:1.0' must be start:stop:count"
+    return (_cv_with_config(d, '{"grid1": "0.1:1.0"}'),
+            "config.json: grid segment '0.1:1.0' must be start:stop:count")
+
+
+# A value from the config file that fails a check after the merge names the file;
+# a bad flag beside a config file keeps the message it has without one.
+def _config_stage2_frac(d):
+    return (_cv_with_config(d, '{"stage2_frac": 2.0}'),
+            "config.json: stage2_fraction must be in (0, 1]")
+
+
+def _flag_stage2_frac_beside_a_config(d):
+    return (_cv_with_config(d, '{"grid1": "0.2,0.4"}') + ["--stage2-frac", "2.0"],
+            "error: stage2_fraction must be in (0, 1]")
+
+
+def _config_folds(d):
+    return _cv_with_config(d, '{"k": 1}'), "config.json: need at least 2 folds"
+
+
+def _flag_folds_beside_a_config(d):
+    return _cv_with_config(d, '{"seed": 3}') + ["--k", "1"], "error: need at least 2 folds"
+
+
+def _config_folds_beyond_the_data(d):
+    return _cv_with_config(d, '{"k": 7}'), "config.json: cannot split 6 observations into 7"
+
+
+def _config_folds_where_the_default_fails_too(d):
+    # without the config, k = 5 fails on 4 rows, but with another message
+    path, _ = write_scalar_dataset(d, np.arange(4.0))
+    (d / "config.json").write_text('{"k": 1}')
+    return ["cv", "--data", str(path), "--estimator", "lc", "--config", str(d / "config.json"),
+            "--out", str(d / "cv.json")], "config.json: need at least 2 folds"
+
+
+def _config_kernel(d):
+    return _cv_with_config(d, '{"kernel": "gauss"}'), "config.json: unknown kernel family 'gauss'"
+
+
+def _simulate_with_config(d, text):
+    (d / "config.json").write_text(text)
+    return ["simulate", "--config", str(d / "config.json"), "--out", str(d / "r.json")]
+
+
+def _config_estimators(d):
+    return (_simulate_with_config(d, '{"estimators": "lc,cubic"}'),
+            "config.json: unknown estimator 'cubic'")
+
+
+def _flag_estimators_beside_a_config(d):
+    return (_simulate_with_config(d, '{"n": 20}') + ["--estimators", "lc,cubic"],
+            "error: unknown estimator 'cubic'")
+
+
+def _config_sample_size(d):
+    return _simulate_with_config(d, '{"n": 5}'), "config.json: sample size must be at least 10"
+
+
+# An input path that does not exist exits 2 with one line naming it, in every command.
+_MISSING = "nope.json: No such file or directory"
+
+
+def _fit_with_a_missing_cv_file(d):
+    path, _ = write_scalar_dataset(d, np.ones(5))
+    return ["fit", "--data", str(path), "--estimator", "lc", "--cv", str(d / "nope.json"),
+            "--query", "0,0", "--out", str(d / "o.csv")], _MISSING
+
+
+def _fit_with_a_missing_data_file(d):
+    path, _ = write_scalar_dataset(d, np.ones(5))
+    return ["fit", "--data", str(d / "nope.csv"), "--space", f"{path}.space.json",
+            "--estimator", "lc", "--bandwidth", "0.5,0.5", "--query", "0,0",
+            "--out", str(d / "o.csv")], "nope.csv: No such file or directory"
+
+
+def _cv_with_a_missing_config(d):
+    path, _ = write_scalar_dataset(d, np.arange(6.0))
+    return ["cv", "--data", str(path), "--estimator", "lc", "--config", str(d / "nope.json"),
+            "--out", str(d / "cv.json")], _MISSING
+
+
+def _simulate_with_a_missing_config(d):
+    return ["simulate", "--config", str(d / "nope.json"), "--out", str(d / "r.json")], _MISSING
+
+
+def _ingest_a_missing_trips_file(d):
+    return ["ingest-network", "--trips", str(d / "nope.csv"), "--k", "2",
+            "--out", str(d / "net.csv")], "nope.csv: No such file or directory"
+
+
+def _eval_with_a_missing_space(d):
+    args = _eval(d, np.zeros((2, 2)), np.zeros((2, 2)))
+    args[args.index("--space") + 1] = str(d / "nope.json")
+    return args, _MISSING
 
 
 def _eval(d, pred_angles, truth_angles):
@@ -516,6 +612,11 @@ def _simulate_into_a_missing_directory(d):
                                   "--grid1", "0.5", "--estimators", "lc"], d)
 
 
+def _default_study_into_a_missing_directory(d):
+    # the output is refused before the study (20 replications at its defaults) would run
+    return _write_into("r.json", ["simulate"], d)
+
+
 def _ingest_into_a_missing_directory(d):
     (d / "trips.csv").write_text("hour,day,doy_len,origin,dest\n3,10,365,1,2\n")
     return _write_into("net.csv", ["ingest-network", "--trips", str(d / "trips.csv"),
@@ -561,8 +662,22 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
                                   _cv_into_a_missing_directory,
                                   _simulate_into_a_missing_directory,
                                   _ingest_into_a_missing_directory,
-                                  _eval_into_a_missing_directory])
-def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, case):
+                                  _eval_into_a_missing_directory,
+                                  _default_study_into_a_missing_directory,
+                                  _config_stage2_frac, _flag_stage2_frac_beside_a_config,
+                                  _config_folds, _flag_folds_beside_a_config,
+                                  _config_folds_beyond_the_data,
+                                  _config_folds_where_the_default_fails_too, _config_kernel,
+                                  _config_estimators, _flag_estimators_beside_a_config,
+                                  _config_sample_size, _fit_with_a_missing_cv_file,
+                                  _fit_with_a_missing_data_file, _cv_with_a_missing_config,
+                                  _simulate_with_a_missing_config, _ingest_a_missing_trips_file,
+                                  _eval_with_a_missing_space])
+def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, monkeypatch, case):
+    def no_study(config):
+        raise AssertionError("simulate ran its study before refusing its input")
+
+    monkeypatch.setattr(cli, "run_study", no_study)  # no case here may run the study
     args, culprit = case(tmp_path)
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
@@ -645,6 +760,17 @@ def test_simulate_smoke_and_determinism(tmp_path, runner):
     blob = json.loads(out1.read_text())
     assert set(blob["mise"]) == {"lc", "ll"}
     assert "wall_clock_s" not in blob
+
+
+def test_simulate_checks_its_output_directory_without_leaving_a_file(tmp_path, runner,
+                                                                    monkeypatch):
+    def failed_study(config):
+        raise NumericalError("the study failed")
+
+    monkeypatch.setattr(cli, "run_study", failed_study)
+    result = runner.invoke(main, ["simulate", "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 3, result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_lists_flags(runner):

@@ -238,11 +238,12 @@ def test_trips_to_dataset_clipping():
 
 @pytest.mark.parametrize("c_w", [None, 2.0])
 def test_trips_to_dataset_matches_per_trip_reference(c_w):
-    # repeated groups across both year lengths, both directions and self-loops
+    # repeated groups across both year lengths, both directions and self-loops, with
+    # the first and last hour and day of each year length among the keys
     rng = np.random.default_rng(63)
     k = 5
     keys = [(int(rng.integers(0, 24)), int(rng.integers(1, 366)), int(rng.choice([365, 366])))
-            for _ in range(7)]
+            for _ in range(7)] + [(0, 1, 365), (23, 365, 365), (0, 1, 366), (23, 366, 366)]
     trips = [(*keys[rng.integers(len(keys))], int(rng.integers(1, k + 1)),
               int(rng.integers(1, k + 1))) for _ in range(300)]
     counts = {}
