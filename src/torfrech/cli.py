@@ -11,7 +11,6 @@ threads can move their last bits at large n, unless OPENBLAS_NUM_THREADS=1.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -31,20 +30,6 @@ from .kernels import BandwidthVector, KernelFamily
 from .metric import finite_number
 from .simulate import SimConfig, run_study
 from .torus import canonicalize
-
-
-def _cli_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except NumericalError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(3)
-        except ValueError as exc:  # the package's validation errors are ValueErrors
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-    return wrapper
 
 
 def _parse_floats(text: str, what: str) -> list:
@@ -81,11 +66,11 @@ def _parse_grid1(spec: str, dim: int, stage2_fraction: float,
 
 
 def _merge_config(ctx, config_path, names):
-    """Fill parameters the user left at their defaults from the JSON object in the
-    config file. Each key must be one of `names`, and each value a string or a
-    finite number, converted by its flag's type."""
+    """ctx.params, with each of `names` (the flags the command takes as config keys) that
+    the user left at its default filled from the config file's JSON object. A value must
+    be a string or a finite number, and is parsed as its flag's text by its flag's type."""
     config = {} if config_path is None else read_json(config_path)
-    params, out = {p.name: p for p in ctx.command.params}, {}
+    params, out = {p.name: p for p in ctx.command.params}, dict(ctx.params)
     with file_errors(config_path):
         if not isinstance(config, dict):
             raise ValueError("the config file must hold a JSON object")
@@ -94,18 +79,15 @@ def _merge_config(ctx, config_path, names):
             raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
                              f"{ctx.command.name} takes {', '.join(names)}")
         for name in names:
-            if name in config and \
-                    ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
+            if name in config and ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
                 value = config[name]
                 if not (isinstance(value, str) or finite_number(value)):
                     raise ValueError(f"config key {name!r} must be a string or a finite "
                                      f"number, got {json.dumps(value)}")
-                try:
-                    out[name] = params[name].type.convert(value, params[name], ctx)
+                try:  # parsed as its flag's text, so 3.9 is no integer
+                    out[name] = params[name].type.convert(str(value), params[name], ctx)
                 except click.BadParameter as exc:
                     raise ValueError(f"config key {name!r}: {exc.message}") from None
-            else:
-                out[name] = ctx.params[name]
     return out
 
 
@@ -124,7 +106,21 @@ def _config_checked(ctx, config_path, merged, build):
         raise DatasetFormatError(f"{config_path}: {exc}") from None
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one place a command's failure becomes its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NumericalError as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(3)
+        except ValueError as exc:  # the package's validation errors are ValueErrors
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Commands)
 def main():
     """Local Fréchet regression with toroidal predictors."""
 
@@ -141,7 +137,6 @@ def main():
 @click.option("--query", "queries", multiple=True,
               help="Query point a1,..,ad (repeatable).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@_cli_errors
 def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, out):
     """Predict at query points; writes dataset rows plus a diagnostics JSON."""
     dataset = load_dataset(data, descriptor_path=space_path)
@@ -211,12 +206,9 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
 @click.option("--config", "config_path", type=click.Path(dir_okay=False),
               help="JSON config merged under explicit flags.")
 @click.pass_context
-@_cli_errors
-def cmd_cv(ctx, data, space_path, estimator, kernel, grid1, stage2_frac,
-           stage2_halfwidth, k, seed, out, config_path):
+def cmd_cv(ctx, data, space_path, estimator, out, config_path, **config_keys):
     """Two-stage cross-validated bandwidth search; writes the CVResult JSON."""
-    merged = _merge_config(ctx, config_path, ["kernel", "grid1", "stage2_frac",
-                                              "stage2_halfwidth", "k", "seed"])
+    merged = _merge_config(ctx, config_path, list(config_keys))
     dataset = load_dataset(data, descriptor_path=space_path)
     fam, grid, _ = _config_checked(ctx, config_path, merged, lambda m: (
         KernelFamily.from_name(m["kernel"]),
@@ -240,12 +232,9 @@ def cmd_cv(ctx, data, space_path, estimator, kernel, grid1, stage2_frac,
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--config", "config_path", type=click.Path(dir_okay=False))
 @click.pass_context
-@_cli_errors
-def cmd_simulate(ctx, n, sigma, reps, seed, quad, grid1, estimators, kernel, out,
-                 config_path):
+def cmd_simulate(ctx, out, config_path, **config_keys):
     """Monte Carlo study on the 2-torus with sphere-valued responses."""
-    merged = _merge_config(ctx, config_path, ["n", "sigma", "reps", "seed", "quad",
-                                              "grid1", "estimators", "kernel"])
+    merged = _merge_config(ctx, config_path, list(config_keys))
     sim_config = _config_checked(ctx, config_path, merged, lambda m: SimConfig(
         n=m["n"], sigma=m["sigma"], reps=m["reps"], seed=m["seed"],
         grid=_parse_grid1(m["grid1"], 2, 0.25, 2), quad_per_axis=m["quad"],
@@ -265,7 +254,6 @@ def cmd_simulate(ctx, n, sigma, reps, seed, quad, grid1, estimators, kernel, out
 @click.option("--k", "n_nodes", required=True, type=int, help="Number of regions.")
 @click.option("--cw", type=float, help="Edge-weight cap (default: max observed).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@_cli_errors
 def cmd_ingest_network(trips, n_nodes, cw, out):
     """Aggregate trip records into a graph-Laplacian dataset."""
     dataset = trips_to_dataset(read_trips(trips, n_nodes), n_nodes, cw)
@@ -280,7 +268,6 @@ def cmd_ingest_network(trips, n_nodes, cw, out):
 @click.option("--space", "space_path", required=True,
               type=click.Path(dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@_cli_errors
 def cmd_eval(pred, truth, space_path, out):
     """Squared-distance summary (mean, max) between two dataset files."""
     space = load_space(space_path)

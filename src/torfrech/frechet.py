@@ -222,10 +222,9 @@ def _sides(hs: np.ndarray):
     """(k, left, right): for axes 0..k-1 and k..d-1 (k = d // 2) of a (C, d) stack,
     np.unique's distinct sub-tuples and indices; None unless fewer than C rows."""
     k = hs.shape[1] // 2
-    if k:  # a one-column side takes 1-D np.unique, at a fraction of axis=0's cost
-        left, right = ((u.reshape(len(u), -1), i) for u, i in (
-            np.unique(s[:, 0] if s.shape[1] == 1 else s, return_inverse=True,
-                      axis=None if s.shape[1] == 1 else 0) for s in (hs[:, :k], hs[:, k:])))
+    if k:  # the inverse is raveled: numpy 2.0.0 gives it a trailing axis
+        left, right = ((u, i.ravel()) for u, i in (
+            np.unique(s, return_inverse=True, axis=0) for s in (hs[:, :k], hs[:, k:])))
         if len(left[0]) + len(right[0]) < len(hs):
             return k, left, right
     return None

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DatasetFormatError, EmptyDatasetError, TorfrechError
 from .frechet import Dataset
 from .metric import GraphLaplacianSpace, ResponseSpace, space_from_json
-from .torus import TorusPoint, canonicalize
+from .torus import TorusPoint
 
 
 def write_json(path, obj) -> None:
@@ -143,12 +143,20 @@ def load_dataset(path, space: ResponseSpace | None = None,
 TRIPS_HEADER = ["hour", "day", "doy_len", "origin", "dest"]
 
 
-def _checked_trips(rows, n_nodes: int) -> np.ndarray:
-    """(m, 5) int64 trip rows (hour, day, doy_len, origin, dest) from int() of each cell,
+def _whole(value) -> int:
+    """int() of a library trip cell: text as int() reads it, a number only if whole (not
+    inf or NaN) and not a bool, which int() would truncate (3.7 to 3) or take as 1."""
+    if isinstance(value, (bool, np.bool_)) or (not isinstance(value, str) and value % 1):
+        raise ValueError(f"trip values must be whole numbers, got {value}")
+    return int(value)
+
+
+def _checked_trips(rows, n_nodes: int, cell=_whole) -> np.ndarray:
+    """(m, 5) int64 trip rows (hour, day, doy_len, origin, dest) from cell() of each cell,
     checked column by column in a lone row's order; a message quotes the first row failing."""
     if isinstance(rows, np.ndarray):  # int() takes Python ints far faster than numpy's
-        rows = rows.tolist()
-    values = [list(map(int, row)) for row in rows]
+        rows, cell = rows.tolist(), int if rows.dtype.kind in "iu" else cell
+    values = [list(map(cell, row)) for row in rows]
     fields = next((len(row) for row in values if len(row) != len(TRIPS_HEADER)), None)
     if fields is not None:
         raise ValueError(f"expected {len(TRIPS_HEADER)} fields, got {fields}")
@@ -172,16 +180,22 @@ def _checked_trips(rows, n_nodes: int) -> np.ndarray:
 def read_trips(path, n_nodes: int) -> np.ndarray:
     """Parse a trips CSV (header hour,day,doy_len,origin,dest) with at least one row
     into its checked (m, 5) int64 array; errors name the first bad row (1-based)."""
+    if n_nodes < 2:
+        raise ValueError("need at least 2 regions")
     return _read_csv(path, lambda header: header == TRIPS_HEADER, ",".join(TRIPS_HEADER),
-                     "trip", lambda header, rows: _checked_trips(rows, n_nodes))
+                     "trip", lambda header, rows: _checked_trips(rows, n_nodes, int))
+
+
+def _time_angles(trips: np.ndarray) -> np.ndarray:
+    """Unwrapped angles 2*pi*(hour + 0.5)/24, 2*pi*(day - 0.5)/doy_len of checked trip rows."""
+    hour, day, doy_len = trips[:, :3].T
+    return np.column_stack([2.0 * math.pi * (hour + 0.5) / 24.0,
+                            2.0 * math.pi * (day - 0.5) / doy_len])
 
 
 def encode_time_to_torus(i1: int, i2: int, doy_len: int) -> TorusPoint:
-    """Map (hour of day, day of year) to the 2-torus, checked as a trip row is:
-    angles 2*pi*(i1 + 0.5)/24 and 2*pi*(i2 - 0.5)/D, canonicalized."""
-    _checked_trips([(i1, i2, doy_len, 1, 1)], 1)
-    return TorusPoint([2.0 * math.pi * (i1 + 0.5) / 24.0,
-                       2.0 * math.pi * (i2 - 0.5) / doy_len])
+    """Map (hour of day, day of year) to the 2-torus at _time_angles, checked as trips are."""
+    return TorusPoint(_time_angles(_checked_trips([(i1, i2, doy_len, 1, 1)], 1))[0])
 
 
 def trips_to_dataset(trips, n_nodes: int, c_w: float | None = None) -> Dataset:
@@ -208,7 +222,5 @@ def trips_to_dataset(trips, n_nodes: int, c_w: float | None = None) -> Dataset:
     if c_w is None:
         c_w = float(edges.max()) or 1.0  # an edgeless sample still needs a positive cap
     space = GraphLaplacianSpace(n_nodes, c_w)
-    hour, day, doy_len = trips[first, :3].T  # wrapped as by TorusPoint, then again by Dataset
-    angles = canonicalize(np.column_stack([2.0 * math.pi * (hour + 0.5) / 24.0,
-                                           2.0 * math.pi * (day - 0.5) / doy_len]))
-    return Dataset(space, angles, space.edge_weights_to_laplacian(np.minimum(edges, space.c_w)))
+    return Dataset(space, _time_angles(trips[first]),
+                   space.edge_weights_to_laplacian(np.minimum(edges, space.c_w)))

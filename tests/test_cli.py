@@ -4,6 +4,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from torfrech import cli
 from torfrech.cli import main
-from torfrech.errors import NumericalError
+from torfrech.errors import NumericalError, SingularDesignError
 from torfrech.frechet import (
     QUERY_CHUNK_CELLS,
     Dataset,
@@ -501,6 +502,22 @@ def _config_folds_where_the_default_fails_too(d):
             "--out", str(d / "cv.json")], "config.json: need at least 2 folds"
 
 
+# A config number is parsed as its flag's text, so a fraction is no integer.
+def _config_fractional_folds(d):
+    return (_cv_with_config(d, '{"k": 3.9}'),
+            "config.json: config key 'k': '3.9' is not a valid integer.")
+
+
+def _config_fractional_seed(d):
+    return (_cv_with_config(d, '{"seed": 1.5}'),
+            "config.json: config key 'seed': '1.5' is not a valid integer.")
+
+
+def _config_fractional_halfwidth(d):
+    return (_cv_with_config(d, '{"stage2_halfwidth": 1.7}'),
+            "config.json: config key 'stage2_halfwidth': '1.7' is not a valid integer.")
+
+
 def _config_kernel(d):
     return _cv_with_config(d, '{"kernel": "gauss"}'), "config.json: unknown kernel family 'gauss'"
 
@@ -522,6 +539,18 @@ def _flag_estimators_beside_a_config(d):
 
 def _config_sample_size(d):
     return _simulate_with_config(d, '{"n": 5}'), "config.json: sample size must be at least 10"
+
+
+def _config_fractional_sample_size(d):
+    return (_simulate_with_config(d, '{"n": 20.5}'),
+            "config.json: config key 'n': '20.5' is not a valid integer.")
+
+
+def _ingest_into_one_region(d):
+    # the rows are good: the region count is at fault, and is refused before they are read
+    (d / "trips.csv").write_text("hour,day,doy_len,origin,dest\n3,10,365,1,2\n")
+    return ["ingest-network", "--trips", str(d / "trips.csv"), "--k", "1",
+            "--out", str(d / "net.csv")], "error: need at least 2 regions"
 
 
 # An input path that does not exist exits 2 with one line naming it, in every command.
@@ -669,7 +698,10 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
                                   _config_folds_beyond_the_data,
                                   _config_folds_where_the_default_fails_too, _config_kernel,
                                   _config_estimators, _flag_estimators_beside_a_config,
-                                  _config_sample_size, _fit_with_a_missing_cv_file,
+                                  _config_sample_size, _config_fractional_folds,
+                                  _config_fractional_seed, _config_fractional_halfwidth,
+                                  _config_fractional_sample_size, _ingest_into_one_region,
+                                  _fit_with_a_missing_cv_file,
                                   _fit_with_a_missing_data_file, _cv_with_a_missing_config,
                                   _simulate_with_a_missing_config, _ingest_a_missing_trips_file,
                                   _eval_with_a_missing_space])
@@ -685,6 +717,21 @@ def test_malformed_input_exits_2_naming_the_culprit(tmp_path, runner, monkeypatc
     assert culprit in result.output
     assert "Traceback" not in result.output
     assert len(result.output.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (ValueError("a bad value"), 2, "error: a bad value"),
+    (SingularDesignError("a singular design"), 3, "numerical failure: a singular design")])
+def test_a_command_added_later_maps_its_failures_to_exit_codes(runner, monkeypatch, error,
+                                                               code, line):
+    def later():
+        raise error
+
+    monkeypatch.setitem(main.commands, "later", click.Command("later", callback=later))
+    result = runner.invoke(main, ["later"])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == line
 
 
 _JSON = st.recursive(

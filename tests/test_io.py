@@ -290,6 +290,45 @@ def test_read_trips_validation(tmp_path):
         read_trips(path, 2)
 
 
+@pytest.mark.parametrize("bad, shown", [((3.7, 10, 365, 1, 2), "3.7"),
+                                        ((True, 10, 365, 1, 2), "True"),
+                                        ((3, 10, np.bool_(True), 1, 2), "True"),
+                                        ((3, 10, 365, 1, np.float64(2.5)), "2.5"),
+                                        ((float("inf"), 10, 365, 1, 2), "inf")])
+def test_a_library_trip_value_that_is_not_whole_is_refused(bad, shown):
+    # int() would truncate a fraction and take a bool as 1
+    with pytest.raises(ValueError) as err:
+        trips_to_dataset([(3, 10, 365, 1, 2), bad], 3)
+    assert str(err.value) == f"trip values must be whole numbers, got {shown}"
+
+
+def test_encode_time_refuses_a_value_that_is_not_whole():
+    for args, shown in (((3.7, 10, 365), "3.7"), ((True, 10, 365), "True"),
+                        ((3, 10, 365.5), "365.5")):
+        with pytest.raises(ValueError) as err:
+            encode_time_to_torus(*args)
+        assert str(err.value) == f"trip values must be whole numbers, got {shown}"
+
+
+def test_library_trip_arrays_are_taken_by_value():
+    whole = trips_to_dataset([(3, 10, 365, 1, 2)], 3)
+    for trips in (np.array([[3, 10, 365, 1, 2]]), np.array([[3.0, 10.0, 365.0, 1.0, 2.0]])):
+        assert np.array_equal(trips_to_dataset(trips, 3).angles, whole.angles)
+    with pytest.raises(ValueError, match="whole numbers, got 3.7"):
+        trips_to_dataset(np.array([[3.7, 10, 365, 1, 2]]), 3)
+    with pytest.raises(ValueError, match="whole numbers, got True"):
+        trips_to_dataset(np.ones((1, 5), dtype=bool), 3)
+
+
+def test_read_trips_refuses_one_region_before_reading_a_row(tmp_path):
+    path = tmp_path / "trips.csv"
+    path.write_text("hour,day,doy_len,origin,dest\n3,10,365,1,2\n")
+    for missing_or_good in (tmp_path / "missing.csv", path):
+        with pytest.raises(ValueError) as err:
+            read_trips(missing_or_good, 1)
+        assert str(err.value) == "need at least 2 regions"
+
+
 def test_a_missing_file_is_a_format_error_naming_it(tmp_path):
     path = tmp_path / "missing.csv"
     message = f"{path}: No such file or directory"
