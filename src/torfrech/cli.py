@@ -71,6 +71,7 @@ def _merge_config(ctx, config_path, names):
     be a string or a finite number, and is parsed as its flag's text by its flag's type."""
     config = {} if config_path is None else read_json(config_path)
     params, out = {p.name: p for p in ctx.command.params}, dict(ctx.params)
+    names = [name for name in params if name in names]  # declaration order, not argv's
     with file_errors(config_path):
         if not isinstance(config, dict):
             raise ValueError("the config file must hold a JSON object")
@@ -79,7 +80,8 @@ def _merge_config(ctx, config_path, names):
             raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
                              f"{ctx.command.name} takes {', '.join(names)}")
         for name in names:
-            if name in config and ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
+            if name in config and \
+                    ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
                 value = config[name]
                 if not (isinstance(value, str) or finite_number(value)):
                     raise ValueError(f"config key {name!r} must be a string or a finite "
@@ -208,7 +210,7 @@ def cmd_fit(data, space_path, estimator, bandwidth, cv_path, kernel, queries, ou
 @click.pass_context
 def cmd_cv(ctx, data, space_path, estimator, out, config_path, **config_keys):
     """Two-stage cross-validated bandwidth search; writes the CVResult JSON."""
-    merged = _merge_config(ctx, config_path, list(config_keys))
+    merged = _merge_config(ctx, config_path, config_keys)
     dataset = load_dataset(data, descriptor_path=space_path)
     fam, grid, _ = _config_checked(ctx, config_path, merged, lambda m: (
         KernelFamily.from_name(m["kernel"]),
@@ -234,7 +236,7 @@ def cmd_cv(ctx, data, space_path, estimator, out, config_path, **config_keys):
 @click.pass_context
 def cmd_simulate(ctx, out, config_path, **config_keys):
     """Monte Carlo study on the 2-torus with sphere-valued responses."""
-    merged = _merge_config(ctx, config_path, list(config_keys))
+    merged = _merge_config(ctx, config_path, config_keys)
     sim_config = _config_checked(ctx, config_path, merged, lambda m: SimConfig(
         n=m["n"], sigma=m["sigma"], reps=m["reps"], seed=m["seed"],
         grid=_parse_grid1(m["grid1"], 2, 0.25, 2), quad_per_axis=m["quad"],

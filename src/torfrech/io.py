@@ -144,19 +144,19 @@ TRIPS_HEADER = ["hour", "day", "doy_len", "origin", "dest"]
 
 
 def _whole(value) -> int:
-    """int() of a library trip cell: text as int() reads it, a number only if whole (not
-    inf or NaN) and not a bool, which int() would truncate (3.7 to 3) or take as 1."""
-    if isinstance(value, (bool, np.bool_)) or (not isinstance(value, str) and value % 1):
-        raise ValueError(f"trip values must be whole numbers, got {value}")
-    return int(value)
+    """int() of a trip cell: text as int() reads it, a number only if whole (not inf
+    or NaN) and not a bool, which int() would truncate (3.7 to 3) or take as 1."""
+    if isinstance(value, str) or not (value % 1 or isinstance(value, (bool, np.bool_))):
+        return int(value)  # text is tested first: it is every cell of a trips file
+    raise ValueError(f"trip values must be whole numbers, got {value}")
 
 
-def _checked_trips(rows, n_nodes: int, cell=_whole) -> np.ndarray:
-    """(m, 5) int64 trip rows (hour, day, doy_len, origin, dest) from cell() of each cell,
+def _checked_trips(rows, n_nodes: int) -> np.ndarray:
+    """(m, 5) int64 trip rows (hour, day, doy_len, origin, dest) from _whole() of each cell,
     checked column by column in a lone row's order; a message quotes the first row failing."""
-    if isinstance(rows, np.ndarray):  # int() takes Python ints far faster than numpy's
-        rows, cell = rows.tolist(), int if rows.dtype.kind in "iu" else cell
-    values = [list(map(cell, row)) for row in rows]
+    if isinstance(rows, np.ndarray):  # Python numbers are read far faster than numpy's
+        rows = rows.tolist()
+    values = [list(map(_whole, row)) for row in rows]
     fields = next((len(row) for row in values if len(row) != len(TRIPS_HEADER)), None)
     if fields is not None:
         raise ValueError(f"expected {len(TRIPS_HEADER)} fields, got {fields}")
@@ -183,7 +183,7 @@ def read_trips(path, n_nodes: int) -> np.ndarray:
     if n_nodes < 2:
         raise ValueError("need at least 2 regions")
     return _read_csv(path, lambda header: header == TRIPS_HEADER, ",".join(TRIPS_HEADER),
-                     "trip", lambda header, rows: _checked_trips(rows, n_nodes, int))
+                     "trip", lambda header, rows: _checked_trips(rows, n_nodes))
 
 
 def _time_angles(trips: np.ndarray) -> np.ndarray:

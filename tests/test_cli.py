@@ -408,6 +408,18 @@ def _unknown_config_key(d):
     return _cv_with_config(d, '{"estimator": "cubic", "seeds": 3}'), "'seeds'"
 
 
+def _unknown_config_key_after_flags(d):
+    # flags typed before --config do not reorder the keys the message lists
+    return (["cv", "--k", "3", "--seed", "1"] + _cv_with_config(d, '{"seeds": 3}')[1:],
+            "cv takes kernel, grid1, stage2_frac, stage2_halfwidth, k, seed")
+
+
+def _simulate_unknown_config_key_after_flags(d):
+    return (["simulate", "--kernel", "uniform", "--n", "20"]
+            + _simulate_with_config(d, '{"m": 3}')[1:],
+            "simulate takes n, sigma, reps, seed, quad, grid1, estimators, kernel")
+
+
 def _invalid_json_cv_file(d):
     path, _ = write_scalar_dataset(d, np.ones(5))
     (d / "cv.json").write_text("{best_h: [0.5, 0.5]}")
@@ -681,7 +693,9 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
                                   _fractional_laplacian_k, _fractional_wasserstein_grid,
                                   _huge_config_value,
                                   _invalid_json_config, _non_object_config,
-                                  _unknown_config_key, _invalid_json_cv_file,
+                                  _unknown_config_key, _unknown_config_key_after_flags,
+                                  _simulate_unknown_config_key_after_flags,
+                                  _invalid_json_cv_file,
                                   _over_long_response_cell, _over_long_trips_cell,
                                   _non_utf8_dataset, _non_utf8_trips, _negative_cv_bandwidth,
                                   _short_cv_bandwidth, _cv_file_for_another_estimator,
