@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import platform
+import resource
 import tempfile
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from torfrech.frechet import (
 )
 from torfrech.kernels import BandwidthVector, KernelFamily
 from torfrech.io import save_dataset
-from torfrech.metric import ScalarSpace
+from torfrech.metric import ScalarSpace, SphereSpace
 from torfrech.torus import TorusPoint
 
 
@@ -129,6 +131,32 @@ def test_fit_in_chunks_matches_single_query_fits(tmp_path, runner, estimator):
         else:
             assert math.isnan(diag[i]["condition_number"])
             assert math.isnan(diag[i]["sigma"])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the CLI sets glibc's allocator thresholds only")
+def test_a_repeated_fit_faults_in_no_fresh_memory(tmp_path, runner):
+    # 225 queries over 500 sphere samples make fit calls of up to 65,536 cells. Unless
+    # their freed arrays stay resident, every fit faults hundreds of pages in afresh.
+    rng = np.random.default_rng(76)
+    angles = rng.uniform(-math.pi, math.pi, size=(500, 2))
+    raw = np.column_stack([np.cos(angles), np.full(500, 1.5)])
+    raw += rng.normal(scale=0.1, size=raw.shape)
+    save_dataset(tmp_path / "data.csv", Dataset(
+        SphereSpace(2), angles, raw / np.linalg.norm(raw, axis=1, keepdims=True)))
+    args = ["fit", "--data", str(tmp_path / "data.csv"), "--estimator", "ll",
+            "--bandwidth", "0.5,0.5", "--out", str(tmp_path / "pred.csv")]
+    axis = np.linspace(-math.pi, math.pi, 15, endpoint=False).tolist()
+    for a in axis:
+        for b in axis:
+            args += ["--query", f"{a!r},{b!r}"]
+    faults = []
+    for _ in range(2):  # a warm-up fit, then the same fit again
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        result = runner.invoke(main, args)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert result.exit_code == 0, result.output
+    assert faults[1] < 100, faults
 
 
 def test_fit_failure_names_the_failing_query_row(tmp_path, runner):
@@ -482,6 +510,17 @@ def _unsplit_config_grid(d):
             "config.json: grid segment '0.1:1.0' must be start:stop:count")
 
 
+def _config_grid_count_below_one(d):
+    return (_cv_with_config(d, '{"grid1": "0.1:1.0:-1"}'),
+            "config.json: grid segment '0.1:1.0:-1' needs a count of at least 1")
+
+
+def _flag_grid_count_below_one(d):
+    path, _ = write_scalar_dataset(d, np.arange(6.0))
+    return ["cv", "--data", str(path), "--estimator", "lc", "--grid1", "0.1:1.0:-1",
+            "--out", str(d / "cv.json")], "error: grid segment '0.1:1.0:-1' needs a count"
+
+
 # A value from the config file that fails a check after the merge names the file;
 # a bad flag beside a config file keeps the message it has without one.
 def _config_stage2_frac(d):
@@ -700,6 +739,7 @@ def test_cv_laplacian_sidecar_larger_than_its_payloads_exits_2(tmp_path, runner)
                                   _non_utf8_dataset, _non_utf8_trips, _negative_cv_bandwidth,
                                   _short_cv_bandwidth, _cv_file_for_another_estimator,
                                   _cv_file_for_another_kernel, _unsplit_config_grid,
+                                  _config_grid_count_below_one, _flag_grid_count_below_one,
                                   _eval_across_dimensions, _eval_at_a_moved_angle,
                                   _eval_across_row_counts, _fit_into_a_missing_directory,
                                   _cv_into_a_missing_directory,
