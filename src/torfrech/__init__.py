@@ -16,10 +16,8 @@ from .errors import (
 )
 from .frechet import (
     Dataset,
-    LocalFit,
     LocalMoments,
-    local_constant_estimate,
-    local_linear_estimate,
+    fit_queries,
     local_linear_weights,
     local_moments,
 )
@@ -45,13 +43,12 @@ __all__ = [
     "BandwidthVector", "CVResult", "ConvergenceError", "Dataset", "DatasetFormatError",
     "DegenerateVarianceError", "DegenerateWeightsError", "EmptyDatasetError",
     "EmptyNeighborhoodError", "GraphLaplacianSpace", "GridSpec", "KernelFamily",
-    "LocalFit", "LocalMoments", "MeanResult", "NumericalError", "PayloadError",
+    "LocalMoments", "MeanResult", "NumericalError", "PayloadError",
     "ResponseSpace", "ScalarSpace", "SimConfig", "SimReport", "SingularDesignError",
     "SphereSpace", "TangentCoords", "TorfrechError", "TorusPoint",
     "UnsupportedOracleError", "WassersteinSpace", "canonicalize", "chart", "cos_gaps",
-    "cv_score", "frechet_mean_oracle", "inverse_chart",
-    "isotonic_projection", "kernel_moment", "kfold_split", "local_constant_estimate",
-    "local_linear_estimate", "local_linear_weights", "local_moments", "run_study",
-    "scalar_kernel", "space_from_json", "toroidal_weight", "two_stage_search",
-    "weighted_frechet_mean",
+    "cv_score", "fit_queries", "frechet_mean_oracle", "inverse_chart",
+    "isotonic_projection", "kernel_moment", "kfold_split", "local_linear_weights",
+    "local_moments", "run_study", "scalar_kernel", "space_from_json", "toroidal_weight",
+    "two_stage_search", "weighted_frechet_mean",
 ]

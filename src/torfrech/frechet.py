@@ -19,12 +19,11 @@ solved vector b that enters the weights.
 
 Every fit runs through `QueryBatch`, and `fit_chunks` is the one place that
 cuts a fit into memory-bounded calls: `fit_queries` concatenates its chunks
-for one bandwidth, cross-validation scores a stack of bandwidths on each
-fold's held-out queries from them, and the single-query estimators are
-batches of one bandwidth and one query. The kernel factors over circles,
-so a bandwidth grid gets mu0, mu1, mu2, b and sigma from one table of
-per-axis factor products per query slice. Failed rows carry a cause;
-`fit_error` types it.
+for one bandwidth, a single query being a batch of one row, and
+cross-validation scores a stack of bandwidths on each fold's held-out
+queries from them. The kernel factors over circles, so a bandwidth grid
+gets mu0, mu1, mu2, b and sigma from one table of per-axis factor products
+per query slice. Failed rows carry a cause; `fit_error` types it.
 """
 
 from __future__ import annotations
@@ -136,25 +135,6 @@ class LocalMoments:
 
 
 @dataclass
-class FitDiagnostics:
-    condition_number: float
-    sigma: float
-    solver_iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True, eq=False)
-class LocalFit:
-    """Estimate at one query with the weights that produced it."""
-
-    estimate: object
-    weights: np.ndarray
-    query: TorusPoint
-    estimator: str
-    diagnostics: FitDiagnostics
-
-
-@dataclass
 class QueryFits:
     """Per-row results of a batched fit; condition_number and sigma are NaN
     for the local constant estimator, values are zero where no solve ran."""
@@ -177,7 +157,7 @@ class QueryFits:
 
 def fit_error(cause: str, cond: float = float("nan"), sigma: float = float("nan"),
               best_iterate=None) -> NumericalError:
-    """The typed error that a single-query fit raises for a failure cause."""
+    """The typed error for a failure cause, as `QueryFits.error` returns it."""
     if cause == EMPTY:
         return EmptyNeighborhoodError("all kernel weights are zero at the query; enlarge "
                                       "the bandwidth or use a strictly positive kernel")
@@ -445,30 +425,3 @@ def local_linear_weights(moments: LocalMoments) -> np.ndarray:
     if not ok[0]:
         raise fit_error(_causes(False, ok, cond)[0], float(cond[0]), float(sigma[0]))
     return weights[0]
-
-
-def local_constant_estimate(data: Dataset, x: TorusPoint, h: BandwidthVector,
-                            kernel: KernelFamily) -> LocalFit:
-    """Kernel-weighted Fréchet mean at the query (metric Nadaraya-Watson)."""
-    return _fit_one(data, x, h, kernel, LOCAL_CONSTANT)
-
-
-def local_linear_estimate(data: Dataset, x: TorusPoint, h: BandwidthVector,
-                          kernel: KernelFamily) -> LocalFit:
-    """Fréchet mean under the tangent-corrected signed weights."""
-    return _fit_one(data, x, h, kernel, LOCAL_LINEAR)
-
-
-def _fit_one(data: Dataset, x: TorusPoint, h: BandwidthVector, kernel: KernelFamily,
-             estimator: str) -> LocalFit:
-    """One QueryBatch's fit and weight row; a failed row raises its typed error."""
-    batch = QueryBatch(data, x.angles)
-    fits = batch.estimates(h, kernel, estimator)
-    if not fits.ok[0]:
-        raise fits.error(0)
-    weights = batch.weight_rows(h, kernel, estimator)[0][0]
-    value = fits.values[0] if data.responses.ndim > 1 else float(fits.values[0])
-    diag = FitDiagnostics(float(fits.condition_number[0]), float(fits.sigma[0]),
-                          int(fits.iterations[0]), converged=True)
-    return LocalFit(estimate=value, weights=weights, query=x, estimator=estimator,
-                    diagnostics=diag)

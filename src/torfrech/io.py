@@ -153,17 +153,21 @@ def _whole(value) -> int:
 
 def _checked_trips(rows, n_nodes: int) -> np.ndarray:
     """(m, 5) int64 trip rows (hour, day, doy_len, origin, dest) from _whole() of each cell,
-    checked column by column in a lone row's order; a message quotes the first row failing."""
-    if isinstance(rows, np.ndarray):  # Python numbers are read far faster than numpy's
-        rows = rows.tolist()
-    values = [list(map(_whole, row)) for row in rows]
-    fields = next((len(row) for row in values if len(row) != len(TRIPS_HEADER)), None)
-    if fields is not None:
-        raise ValueError(f"expected {len(TRIPS_HEADER)} fields, got {fields}")
-    try:
-        trips = np.array(values, dtype=np.int64).reshape(-1, len(TRIPS_HEADER))
-    except OverflowError:  # an int beyond int64 fails a range check as a Python int
-        trips = np.array(values, dtype=object).reshape(-1, len(TRIPS_HEADER))
+    checked column by column in a lone row's order; a message quotes the first row failing.
+    An (m, 5) int64 array (read_trips' own) is whole by type: it gets the range checks alone."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape[1:] == (5,):
+        trips = rows
+    else:
+        if isinstance(rows, np.ndarray):  # Python numbers are read far faster than numpy's
+            rows = rows.tolist()
+        values = [list(map(_whole, row)) for row in rows]
+        fields = next((len(row) for row in values if len(row) != len(TRIPS_HEADER)), None)
+        if fields is not None:
+            raise ValueError(f"expected {len(TRIPS_HEADER)} fields, got {fields}")
+        try:
+            trips = np.array(values, dtype=np.int64).reshape(-1, len(TRIPS_HEADER))
+        except OverflowError:  # an int beyond int64 fails a range check as a Python int
+            trips = np.array(values, dtype=object).reshape(-1, len(TRIPS_HEADER))
     hour, day, doy_len, regions = trips[:, 0], trips[:, 1], trips[:, 2], trips[:, 3:]
     for fails, message in (
             ((doy_len != 365) & (doy_len != 366),

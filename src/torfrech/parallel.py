@@ -29,7 +29,8 @@ def resolve_threads(threads=None) -> int:
 
 def thread_map(fn, items, threads=None):
     """Order-preserving map over a thread pool. On 2 vCPUs two workers ran the cv
-    folds 1.13-1.25x faster than one (ROADMAP, Baseline)."""
+    folds 0.97x as fast as one on perfbench's cv_sphere, 1.21x on cv_quantile and
+    1.15x on cv_network (ROADMAP, Baseline)."""
     items = list(items)
     workers = resolve_threads(threads)
     if workers <= 1 or len(items) <= 1:

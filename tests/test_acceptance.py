@@ -17,9 +17,11 @@ from torfrech.bandwidth import GridSpec
 from torfrech.cli import main
 from torfrech.errors import DegenerateVarianceError, SingularDesignError
 from torfrech.frechet import (
+    SIGMA,
+    SINGULAR,
     Dataset,
-    local_constant_estimate,
-    local_linear_estimate,
+    QueryBatch,
+    fit_queries,
     local_linear_weights,
     local_moments,
 )
@@ -113,19 +115,20 @@ def test_criterion_3_scalar_equivalence():
         x = TorusPoint(rng.uniform(-math.pi, math.pi, size=d))
         h = BandwidthVector(rng.uniform(0.3, 1.0, size=d))
         moments = local_moments(data, x, h, VM)
-        try:
-            ll = local_linear_estimate(data, x, h, VM)
-        except (SingularDesignError, DegenerateVarianceError):
+        ll = fit_queries(data, x.angles[None], h, VM, "ll")
+        if ll.cause[0] in (SINGULAR, SIGMA):
             continue
+        assert ll.ok[0]
         design = np.column_stack([np.ones(n), moments.theta])
         normal = design.T @ (moments.kernel_weights[:, None] * design)
         rhs = design.T @ (moments.kernel_weights * data.responses)
         alpha = float(np.linalg.solve(normal, rhs)[0])
-        assert abs(ll.estimate - alpha) <= 1e-8
-        lc = local_constant_estimate(data, x, h, VM)
+        assert abs(ll.values[0] - alpha) <= 1e-8
+        lc = fit_queries(data, x.angles[None], h, VM, "lc")
+        assert lc.ok[0]
         nw = float(np.dot(moments.kernel_weights, data.responses) /
                    moments.kernel_weights.sum())
-        assert abs(lc.estimate - nw) <= 1e-12
+        assert abs(lc.values[0] - nw) <= 1e-12
         done += 1
     assert done >= 200
     _ok(f"criterion 3 PASS: {done} scalar instances match the normal-equations "
@@ -216,14 +219,15 @@ def test_criterion_7_shift_equivariance():
         delta = rng.uniform(-math.pi, math.pi, size=d)
         shifted = Dataset(SCALAR, data.angles + delta, data.responses)
         xs = TorusPoint(x.angles + delta)
-        for fitter in (local_constant_estimate, local_linear_estimate):
-            try:
-                base = fitter(data, x, h, VM)
-                moved = fitter(shifted, xs, h, VM)
-            except (SingularDesignError, DegenerateVarianceError):
+        for estimator in ("lc", "ll"):
+            batches = QueryBatch(data, x.angles), QueryBatch(shifted, xs.angles)
+            base, moved = (batch.estimates(h, VM, estimator) for batch in batches)
+            if {base.cause[0], moved.cause[0]} & {SINGULAR, SIGMA}:
                 continue
-            assert np.max(np.abs(base.weights - moved.weights)) <= 1e-10
-            assert abs(base.estimate - moved.estimate) <= 1e-9
+            assert base.ok[0] and moved.ok[0]
+            w_base, w_moved = (batch.weight_rows(h, VM, estimator)[0][0] for batch in batches)
+            assert np.max(np.abs(w_base - w_moved)) <= 1e-10
+            assert abs(base.values[0] - moved.values[0]) <= 1e-9
             checked += 1
     assert checked >= 150
     _ok(f"criterion 7 PASS: {checked} shifted fits match weights (1e-10) "

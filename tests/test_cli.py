@@ -19,8 +19,7 @@ from torfrech.errors import NumericalError, SingularDesignError
 from torfrech.frechet import (
     QUERY_CHUNK_CELLS,
     Dataset,
-    local_constant_estimate,
-    local_linear_estimate,
+    fit_queries,
     local_moments,
 )
 from torfrech.kernels import BandwidthVector, KernelFamily
@@ -118,10 +117,11 @@ def test_fit_in_chunks_matches_single_query_fits(tmp_path, runner, estimator):
     assert len(preds) == len(diag) == 5
     h = BandwidthVector([0.4, 0.6])
     vm = KernelFamily.VON_MISES
-    fitter = local_constant_estimate if estimator == "lc" else local_linear_estimate
     for i, q in enumerate(queries):
         x = TorusPoint(q)
-        assert preds[i] == pytest.approx(fitter(data, x, h, vm).estimate, abs=1e-12)
+        one = fit_queries(data, x.angles[None], h, vm, estimator)
+        assert one.ok[0]
+        assert preds[i] == pytest.approx(one.values[0], abs=1e-12)
         assert diag[i]["query_row"] == i + 1
         if estimator == "ll":
             m = local_moments(data, x, h, vm)

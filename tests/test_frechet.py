@@ -23,14 +23,13 @@ from torfrech.frechet import (
     QueryBatch,
     fit_chunks,
     fit_queries,
-    local_constant_estimate,
-    local_linear_estimate,
     local_linear_weights,
     local_moments,
     normalize_estimator,
 )
 from torfrech.kernels import BandwidthVector, KernelFamily, scalar_kernel
 from torfrech.metric import (
+    GraphLaplacianSpace,
     ScalarSpace,
     SphereSpace,
     WassersteinSpace,
@@ -124,25 +123,29 @@ def test_local_constant_matches_nadaraya_watson():
         data = scalar_dataset(rng, 15, 2)
         x = TorusPoint(rng.uniform(-math.pi, math.pi, size=2))
         h = BandwidthVector(rng.uniform(0.3, 1.0, size=2))
-        fit = local_constant_estimate(data, x, h, VM)
+        batch = QueryBatch(data, x.angles)
+        fits = batch.estimates(h, VM, LOCAL_CONSTANT)
+        weights = batch.weight_rows(h, VM, LOCAL_CONSTANT)[0][0]
         m = local_moments(data, x, h, VM)
         oracle = np.dot(m.kernel_weights, data.responses) / m.kernel_weights.sum()
-        assert fit.estimate == pytest.approx(oracle, abs=1e-12)
-        assert np.all(fit.weights >= 0.0)
-        assert fit.weights.mean() == pytest.approx(1.0, abs=1e-10)
+        assert fits.ok[0]
+        assert fits.values[0] == pytest.approx(oracle, abs=1e-12)
+        assert np.all(weights >= 0.0)
+        assert weights.mean() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_local_constant_constant_responses():
     data = Dataset(SCALAR, np.array([[0.0], [1.0], [2.0]]), np.full(3, 7.25))
-    fit = local_constant_estimate(data, TorusPoint([0.5]), BandwidthVector([0.4]), VM)
-    assert fit.estimate == pytest.approx(7.25, abs=1e-12)
+    fits = fit_queries(data, [[0.5]], BandwidthVector([0.4]), VM, LOCAL_CONSTANT)
+    assert fits.ok[0]
+    assert fits.values[0] == pytest.approx(7.25, abs=1e-12)
 
 
 def test_local_constant_empty_neighborhood():
     data = Dataset(SCALAR, np.array([[0.0], [0.1]]), np.array([1.0, 2.0]))
-    with pytest.raises(EmptyNeighborhoodError):
-        local_constant_estimate(data, TorusPoint([math.pi]), BandwidthVector([0.1]),
-                                KernelFamily.UNIFORM)
+    fits = fit_queries(data, [[math.pi]], BandwidthVector([0.1]), KernelFamily.UNIFORM,
+                       LOCAL_CONSTANT)
+    assert isinstance(fits.error(0), EmptyNeighborhoodError)
 
 
 def test_local_constant_sphere_against_oracle():
@@ -158,11 +161,14 @@ def test_local_constant_sphere_against_oracle():
     data = Dataset(sphere, angles, sphere.stack(payloads))
     x = TorusPoint(angles[0])
     h = BandwidthVector([0.8, 0.8])
-    fit = local_constant_estimate(data, x, h, VM)
-    oracle = frechet_mean_oracle(sphere, payloads, fit.weights, math.pi / 180.0)
-    obj_fit = sphere.objective(data.responses, fit.weights, fit.estimate)
-    obj_oracle = sphere.objective(data.responses, fit.weights, oracle)
-    bound = 2.0 * math.pi * np.abs(fit.weights).sum() * 2.0 * (math.pi / 180.0)
+    batch = QueryBatch(data, x.angles)
+    fits = batch.estimates(h, VM, LOCAL_CONSTANT)
+    weights = batch.weight_rows(h, VM, LOCAL_CONSTANT)[0][0]
+    assert fits.ok[0]
+    oracle = frechet_mean_oracle(sphere, payloads, weights, math.pi / 180.0)
+    obj_fit = sphere.objective(data.responses, weights, fits.values[0])
+    obj_oracle = sphere.objective(data.responses, weights, oracle)
+    bound = 2.0 * math.pi * np.abs(weights).sum() * 2.0 * (math.pi / 180.0)
     assert obj_oracle - obj_fit >= -1e-6 * max(1.0, obj_oracle)
     assert obj_oracle - obj_fit <= bound
 
@@ -191,9 +197,10 @@ def test_local_linear_symmetric_design_collapses_to_local_constant():
     assert np.allclose(m.mu1, 0.0, atol=1e-16)
     w = local_linear_weights(m)
     assert np.allclose(w, m.kernel_weights / m.mu0, atol=1e-12)
-    fit_ll = local_linear_estimate(data, TorusPoint([0.0]), BandwidthVector([0.7]), VM)
-    fit_lc = local_constant_estimate(data, TorusPoint([0.0]), BandwidthVector([0.7]), VM)
-    assert fit_ll.estimate == pytest.approx(fit_lc.estimate, abs=1e-12)
+    fit_ll, fit_lc = (fit_queries(data, [[0.0]], BandwidthVector([0.7]), VM, estimator)
+                      for estimator in (LOCAL_LINEAR, LOCAL_CONSTANT))
+    assert fit_ll.ok[0] and fit_lc.ok[0]
+    assert fit_ll.values[0] == pytest.approx(fit_lc.values[0], abs=1e-12)
 
 
 def test_local_linear_single_point_singular():
@@ -201,8 +208,8 @@ def test_local_linear_single_point_singular():
     m = local_moments(data, TorusPoint([0.0, 0.0]), BandwidthVector([0.5, 0.5]), VM)
     with pytest.raises(SingularDesignError):
         local_linear_weights(m)
-    with pytest.raises(SingularDesignError):
-        local_linear_estimate(data, TorusPoint([0.0, 0.0]), BandwidthVector([0.5, 0.5]), VM)
+    one = fit_queries(data, [[0.0, 0.0]], BandwidthVector([0.5, 0.5]), VM, LOCAL_LINEAR)
+    assert isinstance(one.error(0), SingularDesignError)
     # a batch in which every row fails: zero values, NaN sigma, no RuntimeWarning
     fits = fit_queries(data, np.zeros((3, 2)), BandwidthVector([0.5, 0.5]), VM, "ll")
     assert list(fits.cause) == ["singular"] * 3
@@ -230,17 +237,18 @@ def test_local_linear_reproduces_affine_data():
         coef = rng.normal(size=3)
         values = coef[0] + angles @ coef[1:]
         data = Dataset(SCALAR, angles, values)
-        fit = local_linear_estimate(data, x, BandwidthVector([0.5, 0.5]), VM)
-        assert fit.estimate == pytest.approx(coef[0], abs=1e-8)
+        fits = fit_queries(data, x.angles[None], BandwidthVector([0.5, 0.5]), VM, LOCAL_LINEAR)
+        assert fits.ok[0]
+        assert fits.values[0] == pytest.approx(coef[0], abs=1e-8)
 
 
 def test_local_linear_constant_responses():
     rng = np.random.default_rng(25)
     angles = rng.uniform(-math.pi, math.pi, size=(12, 2))
     data = Dataset(SCALAR, angles, np.full(12, -3.5))
-    fit = local_linear_estimate(data, TorusPoint([0.3, 0.4]),
-                                BandwidthVector([0.6, 0.6]), VM)
-    assert fit.estimate == pytest.approx(-3.5, abs=1e-10)
+    fits = fit_queries(data, [[0.3, 0.4]], BandwidthVector([0.6, 0.6]), VM, LOCAL_LINEAR)
+    assert fits.ok[0]
+    assert fits.values[0] == pytest.approx(-3.5, abs=1e-10)
 
 
 def test_local_linear_matches_direct_wls():
@@ -252,12 +260,13 @@ def test_local_linear_matches_direct_wls():
         m = local_moments(data, x, h, VM)
         if m.condition_number > 1e10:
             continue
-        fit = local_linear_estimate(data, x, h, VM)
+        fits = fit_queries(data, x.angles[None], h, VM, LOCAL_LINEAR)
+        assert fits.ok[0]
         design = np.column_stack([np.ones(10), m.theta])
         normal = design.T @ (m.kernel_weights[:, None] * design)
         rhs = design.T @ (m.kernel_weights * data.responses)
         alpha = np.linalg.solve(normal, rhs)[0]
-        assert fit.estimate == pytest.approx(alpha, abs=1e-8)
+        assert fits.values[0] == pytest.approx(alpha, abs=1e-8)
 
 
 def test_degenerate_variance_error():
@@ -280,14 +289,15 @@ def test_shift_equivariance_of_estimates():
         delta = rng.uniform(-math.pi, math.pi, size=2)
         shifted = Dataset(SCALAR, data.angles + delta, data.responses)
         xs = TorusPoint(x.angles + delta)
-        for fitter in (local_constant_estimate, local_linear_estimate):
-            try:
-                fit0 = fitter(data, x, h, VM)
-                fit1 = fitter(shifted, xs, h, VM)
-            except SingularDesignError:
+        for estimator in (LOCAL_CONSTANT, LOCAL_LINEAR):
+            batches = QueryBatch(data, x.angles), QueryBatch(shifted, xs.angles)
+            fit0, fit1 = (batch.estimates(h, VM, estimator) for batch in batches)
+            if frechet.SINGULAR in (fit0.cause[0], fit1.cause[0]):
                 continue
-            assert np.allclose(fit0.weights, fit1.weights, atol=1e-10)
-            assert fit0.estimate == pytest.approx(fit1.estimate, abs=1e-9)
+            assert fit0.ok[0] and fit1.ok[0]
+            w0, w1 = (batch.weight_rows(h, VM, estimator)[0][0] for batch in batches)
+            assert np.allclose(w0, w1, atol=1e-10)
+            assert fit0.values[0] == pytest.approx(fit1.values[0], abs=1e-9)
 
 
 def _shift_problem(kind):
@@ -321,15 +331,35 @@ def test_determinism_bitwise_weights():
     data = scalar_dataset(rng, 20, 2)
     x = TorusPoint([0.1, -0.2])
     h = BandwidthVector([0.5, 0.7])
-    a = local_linear_estimate(data, x, h, VM)
-    b = local_linear_estimate(data, x, h, VM)
-    assert np.array_equal(a.weights, b.weights)
-    assert a.estimate == b.estimate
+    a, b = (fit_queries(data, x.angles[None], h, VM, LOCAL_LINEAR) for _ in range(2))
+    wa, wb = (QueryBatch(data, x.angles).weight_rows(h, VM, LOCAL_LINEAR)[0] for _ in range(2))
+    assert a.ok[0] and b.ok[0]
+    assert np.array_equal(wa, wb)
+    assert a.values[0] == b.values[0]
 
 
-def test_batch_matches_single_query_path():
+def _space_responses(kind, rng, n):
+    """A response space of `kind` and n responses in it, near one another."""
+    if kind == "scalar":
+        return SCALAR, rng.normal(size=n)
+    if kind == "sphere":
+        raw = rng.standard_normal((n, 3)) * 0.4 + [0.0, 0.0, 1.0]
+        return SphereSpace(2), raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    if kind == "wasserstein":
+        return WassersteinSpace(8, 0.0, 1.0), np.sort(rng.uniform(0.0, 1.0, (n, 8)), axis=1)
+    space = GraphLaplacianSpace(4, 3.0)
+    return space, space.edge_weights_to_laplacian(rng.uniform(0.0, 3.0, size=(n, 6)))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "sphere", "wasserstein", "laplacian"])
+def test_batch_matches_single_query_path(kind):
+    """A query fit as a batch of one (fit_queries on one row, weight_rows of a
+    one-row QueryBatch) gives its row of a 7-query batch: the same cause, and
+    values (geodesic distance on the sphere) and weights within 1e-12."""
     rng = np.random.default_rng(29)
-    data = scalar_dataset(rng, 18, 2)
+    angles = rng.uniform(-math.pi, math.pi, size=(18, 2))
+    space, responses = _space_responses(kind, rng, 18)
+    data = Dataset(space, angles, responses)
     queries = rng.uniform(-math.pi, math.pi, size=(7, 2))
     h = BandwidthVector([0.6, 0.8])
     batch = QueryBatch(data, queries)
@@ -337,12 +367,14 @@ def test_batch_matches_single_query_path():
         fits = batch.estimates(h, VM, estimator)
         weights = batch.weight_rows(h, VM, estimator)[0]
         for i, q in enumerate(queries):
-            fitter = local_constant_estimate if estimator == LOCAL_CONSTANT \
-                else local_linear_estimate
-            fit = fitter(data, TorusPoint(q), h, VM)
-            assert fits.ok[i]
-            assert np.allclose(weights[i], fit.weights, atol=1e-12)
-            assert fits.values[i] == pytest.approx(fit.estimate, abs=1e-12)
+            one = fit_queries(data, q[None], h, VM, estimator)
+            assert fits.ok[i] and list(one.cause) == [fits.cause[i]]
+            assert np.allclose(weights[i], QueryBatch(data, q).weight_rows(h, VM, estimator)[0][0],
+                               atol=1e-12)
+            gap = one.values[0] - fits.values[i]
+            if kind == "sphere":  # the chord form of the geodesic distance, exact near zero
+                gap = 2.0 * np.arcsin(np.linalg.norm(gap) / 2.0)
+            assert np.max(np.abs(gap)) <= 1e-12
 
 
 def test_wasserstein_means_equal_always_projected_means():
@@ -491,10 +523,10 @@ def test_underflowed_kernel_mass_fails_as_before():
         single = QueryBatch(data, queries).estimates(BandwidthVector([tiny_h, tiny_h]), VM,
                                                      estimator).cause
         assert list(stacked[0]) == list(single) == [frechet.OK, cause], estimator
-    with pytest.raises(SingularDesignError):
-        local_linear_estimate(data, TorusPoint(queries[1]), BandwidthVector([tiny_h] * 2), VM)
-    with pytest.raises(EmptyNeighborhoodError):
-        local_constant_estimate(data, TorusPoint(queries[1]), BandwidthVector([tiny_h] * 2), VM)
+    for estimator, error in ((LOCAL_LINEAR, SingularDesignError),
+                             (LOCAL_CONSTANT, EmptyNeighborhoodError)):
+        far = fit_queries(data, queries[1:], BandwidthVector([tiny_h] * 2), VM, estimator)
+        assert isinstance(far.error(0), error)
 
 
 @pytest.mark.parametrize("q, n, c, cap", [(7, 5, 3, 40), (10, 6, 4, 64), (3, 9, 5, 1000),
@@ -584,8 +616,6 @@ def test_batched_rows_satisfy_identities_or_raise_their_cause(problem):
     batch = QueryBatch(data, queries)
     fits = batch.estimates(h, kernel, estimator)
     weights = batch.weight_rows(h, kernel, estimator)[0]
-    fitter = local_constant_estimate if estimator == LOCAL_CONSTANT \
-        else local_linear_estimate
     for i, q in enumerate(queries):
         if fits.ok[i]:
             assert abs(weights[i].mean() - 1.0) <= 1e-10
@@ -593,5 +623,5 @@ def test_batched_rows_satisfy_identities_or_raise_their_cause(problem):
                 moment = (weights[i][:, None] * batch.theta[i]).mean(axis=0)
                 assert np.linalg.norm(moment) <= 1e-10
         else:
-            with pytest.raises(CAUSE_ERRORS[fits.cause[i]]):
-                fitter(data, TorusPoint(q), h, kernel)
+            one = fit_queries(data, q[None], h, kernel, estimator)
+            assert isinstance(one.error(0), CAUSE_ERRORS[fits.cause[i]])

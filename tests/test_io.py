@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from torfrech import io
 from torfrech.errors import DatasetFormatError, EmptyDatasetError, PayloadError
 from torfrech.frechet import Dataset
 from torfrech.io import (
@@ -318,6 +319,30 @@ def test_library_trip_arrays_are_taken_by_value():
         trips_to_dataset(np.array([[3.7, 10, 365, 1, 2]]), 3)
     with pytest.raises(ValueError, match="whole numbers, got True"):
         trips_to_dataset(np.ones((1, 5), dtype=bool), 3)
+
+
+def test_read_trips_array_is_not_checked_cell_by_cell_again(tmp_path, monkeypatch):
+    """read_trips' (m, 5) int64 array is whole by type, so trips_to_dataset runs
+    only the range checks on it: no cell goes through io._whole a second time.
+    Its rows as a list still do, and give the same dataset."""
+    rng = np.random.default_rng(5)
+    rows = np.column_stack([rng.integers(0, 24, 60), rng.integers(1, 366, 60), np.full(60, 365),
+                            rng.integers(1, 4, (60, 2))])
+    path = tmp_path / "trips.csv"
+    path.write_text("\n".join([",".join(io.TRIPS_HEADER)] + [",".join(map(str, r)) for r in rows]))
+    trips = read_trips(path, 3)
+    calls, whole = [], io._whole
+    monkeypatch.setattr(io, "_whole", lambda value: calls.append(value) or whole(value))
+    data = trips_to_dataset(trips, 3)
+    assert calls == []
+    listed = trips_to_dataset(trips.tolist(), 3)
+    assert len(calls) == trips.size
+    assert np.array_equal(data.angles, listed.angles)
+    assert np.array_equal(data.responses, listed.responses)
+    with pytest.raises(ValueError, match=r"^hour must be in 0..23, got 24$"):
+        trips_to_dataset(np.array([[24, 10, 365, 1, 2]], dtype=np.int64), 3)
+    with pytest.raises(ValueError, match=r"^expected 5 fields, got 4$"):
+        trips_to_dataset(np.ones((1, 4), dtype=np.int64), 3)
 
 
 def test_read_trips_refuses_one_region_before_reading_a_row(tmp_path):
