@@ -13,9 +13,9 @@ and shared across every candidate.
 A stage is scored fold by fold: the folds run on the thread pool
 (TORFRECH_THREADS), and each fold fits all of the stage's candidates through
 `frechet.fit_chunks`, one weight pass and one Fréchet-mean solve per chunk.
-A fold keeps only its training set and held-out rows between chunks, so
-memory stays flat in n and in the number of candidates. Per-fold losses are
-added in fold order, so scores do not depend on the worker count.
+Each chunk is scored as it is fit, into one running loss and fitted count per
+candidate, so memory stays flat in n and in the number of candidates. Per-fold
+losses are added in fold order, so scores do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -140,20 +140,17 @@ def _split(data: Dataset, folds: np.ndarray) -> list:
 
 
 def _fold_losses(fold, space, hs, kernel, estimator, penalty):
-    """(loss, fitted rows) arrays over the (C, d) bandwidths hs on one fold: the
-    loss is the squared distances of the fitted held-out rows plus the penalty
-    per failed row."""
+    """(loss, fitted rows) arrays over the (C, d) bandwidths hs on one fold, as
+    running totals: each fit chunk adds its held-out rows' squared distances,
+    the penalty per failed row, and its count of fitted rows."""
     train, angles, held = fold
-    d2 = np.empty((len(hs), len(held)))
-    ok = np.empty(d2.shape, dtype=bool)
+    loss, fitted = np.zeros(len(hs)), np.zeros(len(hs), dtype=int)
     for cands, rows, fits in fit_chunks(train, angles, hs, kernel, estimator):
-        size = cands.stop - cands.start
-        truth = np.concatenate([held[rows]] * size)
-        d2[cands, rows] = space.pairwise_dist2(truth, fits.values).reshape(size, -1)
-        ok[cands, rows] = fits.ok.reshape(size, -1)
-    # each bandwidth's held-out rows in query order, summed as one array
-    loss = [float(d2[c][ok[c]].sum()) + penalty * int((~ok[c]).sum()) for c in range(len(hs))]
-    return np.array(loss), ok.sum(axis=1)
+        ok = fits.ok.reshape(-1, rows.stop - rows.start)
+        d2 = space.pairwise_dist2(held[rows], fits.values.reshape(*ok.shape, *held.shape[1:]))
+        loss[cands] += np.where(ok, d2, penalty).sum(axis=1)
+        fitted[cands] += ok.sum(axis=1)
+    return loss, fitted
 
 
 def _score_candidate(folds, space, h_tuples, kernel, estimator, threads=None) -> list:

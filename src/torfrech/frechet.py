@@ -353,9 +353,9 @@ class QueryBatch:
             return _linear_weights(kvals, self.theta, rule)
         mu0 = kvals.mean(axis=1)
         ok = mu0 >= np.finfo(float).tiny
-        weights = np.zeros_like(kvals)
-        weights[ok] = kvals[ok] / mu0[ok, None]
-        return weights, ok, np.full(ok.shape, np.nan), np.full(ok.shape, np.nan)
+        kvals[~ok] = 0.0
+        np.divide(kvals, mu0[:, None], out=kvals, where=ok[:, None])
+        return kvals, ok, np.full(ok.shape, np.nan), np.full(ok.shape, np.nan)
 
     def estimates(self, h, kernel: KernelFamily, estimator: str, rule=None):
         """Fit every row; failed rows carry their cause rather than raise."""

@@ -89,7 +89,8 @@ class ResponseSpace(abc.ABC):
 
     @abc.abstractmethod
     def pairwise_dist2(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Rowwise squared distances between two stacks of payloads (no validation)."""
+        """Rowwise squared distances between two stacks of payloads (no validation);
+        the stacks' leading axes broadcast, as numpy's do."""
 
     @abc.abstractmethod
     def _mean_batch(self, stacked: np.ndarray, weight_rows: np.ndarray):
@@ -283,7 +284,7 @@ class SphereSpace(ResponseSpace):
         return math.pi
 
     def pairwise_dist2(self, a, b):
-        dots = np.clip(np.einsum("nm,nm->n", np.asarray(a), np.asarray(b)), -1.0, 1.0)
+        dots = np.clip(np.einsum("...m,...m->...", np.asarray(a), np.asarray(b)), -1.0, 1.0)
         return np.arccos(dots) ** 2
 
     def _mean_batch(self, stacked, weight_rows):
@@ -441,7 +442,7 @@ class WassersteinSpace(ResponseSpace):
 
     def pairwise_dist2(self, a, b):
         diff = np.asarray(a) - np.asarray(b)
-        return np.mean(diff * diff, axis=1)
+        return np.mean(diff * diff, axis=-1)
 
     def _mean_batch(self, stacked, weight_rows):
         avg = _weighted_average(stacked, weight_rows)
@@ -523,7 +524,7 @@ class GraphLaplacianSpace(ResponseSpace):
 
     def pairwise_dist2(self, a, b):
         diff = np.asarray(a) - np.asarray(b)
-        return np.einsum("nij,nij->n", diff, diff)
+        return np.einsum("...ij,...ij->...", diff, diff)
 
     def edge_weights_to_laplacian(self, w: np.ndarray) -> np.ndarray:
         """Laplacians from upper-triangle edge weights (row-major order), shape (..., E)."""

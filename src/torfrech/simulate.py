@@ -168,9 +168,9 @@ def _run_replication(args) -> dict:
                                   seed=cv_seed, estimator=est, threads=1)
             fits = fit_queries(data, grid_angles, cv.best_h, config.kernel, est)
             if not np.all(fits.ok):
-                raise NumericalError(
-                    f"{int((~fits.ok).sum())} quadrature fits failed at the selected "
-                    f"bandwidth")
+                out[est] = {"error": f"{int((~fits.ok).sum())} quadrature fits failed at "
+                                     f"the selected bandwidth"}
+                continue
             out[est] = {"best_h": [float(v) for v in cv.best_h.h],
                         "cv_score": float(cv.best_score),
                         "ise": integrated_squared_error(fits.values, truths,

@@ -10,10 +10,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
-from torfrech.bandwidth import GridSpec
 from torfrech.cli import main
 from torfrech.errors import DegenerateVarianceError, SingularDesignError
 from torfrech.frechet import (

@@ -6,7 +6,6 @@ import pytest
 
 from torfrech import bandwidth, frechet
 from torfrech.bandwidth import (
-    CVResult,
     GridSpec,
     cv_score,
     kfold_split,

@@ -424,18 +424,21 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_weight_rows_working_set_is_a_few_row_arrays():
-    """One local linear weight_rows call over a bandwidth stack holds the kernel
-    values, one K theta_a buffer and the weights it returns, each a (C * q, n)
-    array, and nothing of size C * d * q * n: its peak stays under 2.75 such
-    arrays (a K theta stack for mu2 reads 5, a copied b'theta 3.1)."""
+@pytest.mark.parametrize("estimator, bound", [(LOCAL_LINEAR, 2.75), (LOCAL_CONSTANT, 2.25)])
+def test_weight_rows_working_set_is_a_few_row_arrays(estimator, bound):
+    """One weight_rows call over a bandwidth stack holds a few (C * q, n) row
+    arrays and nothing of size C * d * q * n. Local linear holds the kernel
+    values, one K theta_a buffer and the weights it returns: under 2.75 such
+    arrays (a K theta stack for mu2 reads 5, a copied b'theta 3.1). Local
+    constant divides the kernel values in place and returns them: under 2.25
+    (a second weight array read 4.1)."""
     rng = np.random.default_rng(63)
     data = scalar_dataset(rng, 600, 2)
     batch = QueryBatch(data, rng.uniform(-math.pi, math.pi, size=(20, 2)))
     hs = rng.uniform(0.4, 1.5, size=(6, 2))
-    peak, (weights, ok) = _traced_peak(lambda: batch.weight_rows(hs, VM, LOCAL_LINEAR)[:2])
+    peak, (weights, ok) = _traced_peak(lambda: batch.weight_rows(hs, VM, estimator)[:2])
     assert ok.all() and weights.shape == (6 * 20, 600)
-    assert peak <= 2.75 * weights.nbytes
+    assert peak <= bound * weights.nbytes
 
 
 def test_theta_gaps_peak_is_its_output():

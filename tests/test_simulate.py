@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torfrech import simulate
 from torfrech.bandwidth import GridSpec
 from torfrech.simulate import (
     SimConfig,
@@ -133,3 +134,27 @@ def test_run_study_deterministic():
     # worker count must not change the report
     rep8 = run_study(config, threads=4)
     assert rep8.to_json() == rep1.to_json()
+
+
+def test_failed_quadrature_fits_are_recorded_and_excluded(monkeypatch):
+    """A replication whose fit at the selected bandwidth fails on any quadrature
+    row records that estimator as an error naming the count, and the report
+    excludes it from the MISE; the other estimator is unaffected."""
+    fit_queries = simulate.fit_queries
+
+    def one_row_fails(data, angles, h, kernel, est):
+        fits = fit_queries(data, angles, h, kernel, est)
+        if est == "ll":
+            fits.cause[3] = "nonconverged"
+        return fits
+
+    monkeypatch.setattr(simulate, "fit_queries", one_row_fails)
+    config = SimConfig(n=20, sigma=0.2, reps=2, seed=123,
+                       grid=GridSpec(((0.4, 0.8), (0.4, 0.8)), stage2_halfwidth=1),
+                       quad_per_axis=10)
+    report = run_study(config, threads=1)
+    for row in report.replications:
+        assert row["ll"] == {"error": "1 quadrature fits failed at the selected bandwidth"}
+        assert set(row["lc"]) == {"best_h", "cv_score", "ise"}
+    assert report.excluded == {"lc": 0, "ll": 2}
+    assert report.mise["ll"] is None and report.mise["lc"] >= 0.0
