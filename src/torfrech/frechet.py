@@ -21,9 +21,9 @@ Every fit runs through `QueryBatch`, and `fit_chunks` is the one place that
 cuts a fit into memory-bounded calls: `fit_queries` concatenates its chunks
 for one bandwidth, a single query being a batch of one row, and
 cross-validation scores a stack of bandwidths on each fold's held-out
-queries from them. The kernel factors over circles, so a bandwidth grid
-gets mu0, mu1, mu2, b and sigma from one table of per-axis factor products
-per query slice. Failed rows carry a cause; `fit_error` types it.
+queries from them. The kernel factors over circles, so a bandwidth grid gets
+its kernel values, mu0, mu1, mu2, b and sigma from one kernel pass per axis
+side and query slice. Failed rows carry a cause; `fit_error` types it.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ _SIGMA_GUARD = 100.0 * np.finfo(float).eps / _IDENTITY_TOL
 
 # Cap on (bandwidth, query) weight rows x observations per fit call, applied
 # by fit_chunks to fit and cross-validation alike, one value for every space.
-# Each call of an iterative mean solver pays its own iteration tail, and a loop
-# trip costs much the same for a few active rows as for many, so fewer, larger
-# calls pay fewer tails. The arrays of one call that scale with the cap: theta
-# and gaps (d each, over q x n), the kernel values, the weight rows and the mean
-# solver's (rows x n) work arrays (five for the sphere), and each moment table
-# and its side rows (QueryBatch.moments).
+# Fewer, larger calls pay fewer iteration tails of the mean solvers, whose loop
+# trips cost much the same for a few active rows as for many. The arrays that
+# scale with the cap: theta and gaps (d each, over q x n), a query slice's kernel
+# factor rows (U_L + U_R, over q x n), the kernel values, the weight rows and the
+# mean solver's (rows x n) work arrays (five for the sphere), and each moment
+# table and its side rows (QueryBatch.moments).
 QUERY_CHUNK_CELLS = 65536
 
 LOCAL_CONSTANT = "lc"
@@ -213,20 +213,33 @@ def _sides(hs: np.ndarray):
 def _linear_rule(mu0, mu1, mu2):
     """(beta, ok, cond, sigma) of the local linear rule on rows of moments: ok
     fails where cond > 1e12 or sigma is under its guard, and singular rows get
-    sigma NaN. b is one LU solve: refinement in working precision cannot lower
-    the normwise residual of that backward-stable solve (Higham 2002, 12.2).
-    """
-    eigs = np.linalg.eigvalsh(mu2)
-    lo, hi = eigs[:, 0], eigs[:, -1]
+    sigma NaN. d = 2 is closed form, in LAPACK's own steps: the eigenvalues
+    (a + c + hypot(a - c, 2b)) / 2 and det over it as eigvalsh's dlae2 forms them
+    on the lower triangle, and b by the LU solve of other d, elimination with
+    partial pivoting on the full matrix. It is backward stable, so refinement
+    cannot lower its normwise residual, sigma mean(W theta) (Higham 2002, 12.2);
+    Cramer's rule is not (1.10)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if mu1.shape[1] == 2:
+            a, c, off = mu2[:, 0, 0], mu2[:, 1, 1], mu2[:, 1, 0]
+            big, small = (f(np.abs(a - c), np.abs(off + off)) for f in (np.maximum, np.minimum))
+            hi = 0.5 * (a + c + big * np.sqrt(1.0 + (small / big) ** 2))
+            lo = np.maximum(a, c) / hi * np.minimum(a, c) - off / hi * off  # a, c >= 0
+            swap = np.abs(off) > np.abs(a)  # the pivot row (p, q | y) has the larger lead
+            p, u, q, v, y, z = (np.where(swap, x[:, 1 - i], x[:, i])
+                                for x in (mu2[:, :, 0], mu2[:, :, 1], mu1) for i in (0, 1))
+            x2 = (z - u / p * y) / (v - u / p * q)
+            beta = np.stack([(y - q * x2) / p, x2], axis=1)
+        else:
+            (lo, hi), beta = np.linalg.eigvalsh(mu2)[:, [0, -1]].T, np.zeros_like(mu1)
         cond = np.where(lo > 0.0, hi / lo, np.inf)
     ok = cond <= CONDITION_LIMIT
-    sigma = np.full(len(mu0), np.nan)
-    beta = np.zeros_like(mu1)
-    beta[ok] = np.linalg.solve(mu2[ok], mu1[ok][..., None])[..., 0]
+    if mu1.shape[1] != 2:
+        beta[ok] = np.linalg.solve(mu2[ok], mu1[ok][..., None])[..., 0]
+    beta[~ok] = 0.0
     sig = mu0 - np.einsum("rd,rd->r", mu1, beta)
     noise = mu0 + np.linalg.norm(mu1, axis=1) * np.linalg.norm(beta, axis=1)
-    sigma[ok] = sig[ok]
+    sigma = np.where(ok, sig, np.nan)
     ok &= sig > _SIGMA_GUARD * noise
     return beta, ok, cond, sigma
 
@@ -293,37 +306,43 @@ class QueryBatch:
         self.query_angles = q
         self.theta, self.gaps = _theta_gaps(self.data.angles, q)
 
-    def moments(self, h, kernel: KernelFamily, kvals=None, sides=None):
+    def factor_rows(self, kernel: KernelFamily, sides):
+        """(left, iu, right, iv): per-axis kernel factor rows (U, q, n) of the
+        distinct sub-tuples of _sides and a stack's indices into them; its row
+        c * q + i of kernel values is left[iu[c], i] * right[iv[c], i]."""
+        k, (left, iu), (right, iv) = sides
+        return (gap_weights(kernel, self.gaps[..., :k], left), iu,
+                gap_weights(kernel, self.gaps[..., k:], right), iv)
+
+    def moments(self, h, kernel: KernelFamily, kvals=None, factors=None):
         """(kvals, mu0, mu1, mu2) of every row, as sums of left side rows times
-        right side rows, each times 1 or a theta_a. Where _sides (or `sides`)
-        splits the axes, the sides are per-axis kernel factor rows of their
-        distinct bandwidths, and kvals is None: a stack costs U_L * U_R table
-        cells a query, at most prod_a U_a and one a candidate for a tensor grid.
-        Else the kernel values (given or computed) are the left rows, ones the right."""
+        right side rows, each times 1 or a theta_a. Given `factors`, or where _sides
+        splits the axes, the sides are factor rows and kvals is None: a stack costs
+        U_L * U_R table cells a query, at most prod_a U_a and one a candidate for a
+        tensor grid. Else the left rows are the kernel values (given or computed)."""
         hs = _bandwidth_stack(h, self.data.dim)
         (q, n, d), c = self.theta.shape, hs.shape[0]
-        sides = sides or (None if kvals is not None else _sides(hs))
-        if sides is None and kvals is None:
-            kvals = gap_weights(kernel, self.gaps, hs).reshape(c * q, n)
-        k, (left_rows, iu), (right_rows, iv) = sides or (
-            d, (hs, np.arange(c)), (hs[:1, d:], np.zeros(c, dtype=int)))
+        if kvals is None and factors is None:
+            sides = _sides(hs)
+            factors = sides and self.factor_rows(kernel, sides)
+            kvals = None if factors else gap_weights(kernel, self.gaps, hs).reshape(c * q, n)
+        left_rows, iu, right_rows, iv = factors or (
+            kvals.reshape(c, q, n), np.arange(c), hs[:1], np.zeros(c, dtype=int))
         (u, v), theta = (len(left_rows), len(right_rows)), self.theta.transpose(2, 0, 1)
         table = np.zeros((c, q, 1 + d, 1 + d))
-        # query slices keep left rows, their buffer and right rows times (1, theta) in the cap
-        step = max(1, QUERY_CHUNK_CELLS // (n * max(u, (1 + d) * v * (sides is not None))))
+        # query slices keep their buffer and right rows times (1, theta) in the cap
+        step = max(1, QUERY_CHUNK_CELLS // (n * max(u, (1 + d) * v * (factors is not None))))
         for i in range(0, q, step):
             qs, s = slice(i, i + step), min(step, q - i)
-            if sides is None:  # right ones, whose theta products are theta itself
-                left, right = kvals.reshape(c, q, n)[:, qs], np.ones((n, 1))
-                right_theta = self.theta[qs]
+            left = left_rows[:, qs].swapaxes(0, 1)
+            if factors is None:  # right ones, whose theta products are theta itself
+                right, right_theta = np.ones((n, 1)), self.theta[qs]
             else:
-                left = gap_weights(kernel, self.gaps[qs, :, :k], left_rows)
                 right = np.empty((s, 1 + d, v, n))
-                right[:, 0] = gap_weights(kernel, self.gaps[qs, :, k:], right_rows).swapaxes(0, 1)
+                right[:, 0] = right_rows[:, qs].swapaxes(0, 1)
                 np.multiply(right[:, :1], theta[:, qs, None].swapaxes(0, 1), out=right[:, 1:])
                 right = right.reshape(s, -1, n).transpose(0, 2, 1)
                 right, right_theta = right[..., :v], right[..., v:]
-            left = left.swapaxes(0, 1)
             table[:, qs, 0, 0] = np.matmul(left, right)[:, iu, iv].T  # mu0; mu1 is row 0's rest
             buf = np.empty(left.shape)
             for j, f in enumerate([None, *theta[:, qs]]):
@@ -340,13 +359,20 @@ class QueryBatch:
             kvals[underflow] = 0.0
         return kvals, table[:, 0, 0], table[:, 0, 1:], table[:, 1:, 1:]
 
-    def weight_rows(self, h, kernel: KernelFamily, estimator: str, rule=None):
-        """(weights, ok, cond, sigma) rows. Local linear rows take b and sigma
-        from `rule`, their part of a stack's table, or else from their own
-        moments; local constant rows are K_i / mean(K), failed only where that
+    def weight_rows(self, h, kernel: KernelFamily, estimator: str, rule=None, factors=None):
+        """(weights, ok, cond, sigma) rows from the kernel values, products of
+        `factors` (factor_rows for this stack) or computed. Local linear rows take
+        b and sigma from `rule`, their part of a stack's table, or else from their
+        own moments; local constant rows are K_i / mean(K), failed only where that
         mean underflows, with cond and sigma NaN."""
-        hs = _bandwidth_stack(h, self.data.dim)
-        kvals = gap_weights(kernel, self.gaps, hs).reshape(-1, self.data.n)
+        hs, (q, n, _) = _bandwidth_stack(h, self.data.dim), self.theta.shape
+        if factors is None:
+            kvals = gap_weights(kernel, self.gaps, hs).reshape(-1, n)
+        else:  # one product per candidate, straight into its rows
+            left, iu, right, iv = factors
+            kvals = np.empty((len(iu) * q, n))
+            for out, a, b in zip(kvals.reshape(-1, q, n), iu, iv):
+                np.multiply(left[a], right[b], out=out)
         if normalize_estimator(estimator) == LOCAL_LINEAR:
             if rule is None:
                 rule = _linear_rule(*self.moments(hs, kernel, kvals)[1:])
@@ -357,9 +383,9 @@ class QueryBatch:
         np.divide(kvals, mu0[:, None], out=kvals, where=ok[:, None])
         return kvals, ok, np.full(ok.shape, np.nan), np.full(ok.shape, np.nan)
 
-    def estimates(self, h, kernel: KernelFamily, estimator: str, rule=None):
+    def estimates(self, h, kernel: KernelFamily, estimator: str, rule=None, factors=None):
         """Fit every row; failed rows carry their cause rather than raise."""
-        weights, ok, cond, sigma = self.weight_rows(h, kernel, estimator, rule)
+        weights, ok, cond, sigma = self.weight_rows(h, kernel, estimator, rule, factors)
         # failed weight rows are zero, and the solver skips rows summing to <= 0
         values, solved, iterations, converged = self.data.space.frechet_mean_batch(
             self.data.responses, weights)
@@ -374,24 +400,30 @@ def fit_chunks(data: Dataset, query_angles, h, kernel: KernelFamily, estimator: 
     QueryBatch each, fit their bandwidths in stacks of at most QUERY_CHUNK_CELLS
     rows x observations (one row per call when n exceeds it).
 
-    A local linear stack sharing per-axis factors (_sides) gets b and sigma from
-    one moment table per query slice, whose (1 + d)^2 cells a row fit the cap.
+    A stack sharing per-axis factors (_sides) gets its kernel values from one
+    kernel pass per axis side and query slice (QueryBatch.factor_rows), and for
+    local linear b and sigma from one moment table. A slice's factor rows,
+    (U_L + U_R) x n cells a query, and table, (1 + d)^2 a candidate, fit the cap.
     """
     queries = np.atleast_2d(np.asarray(query_angles, dtype=float))
-    hs, q = _bandwidth_stack(h, data.dim), queries.shape[0]
-    sides = _sides(hs) if normalize_estimator(estimator) == LOCAL_LINEAR else None
-    step = max(1, QUERY_CHUNK_CELLS // max(data.n, bool(sides) * (1 + data.dim) ** 2 * len(hs)))
+    hs, q, n = _bandwidth_stack(h, data.dim), queries.shape[0], data.n
+    linear, sides = normalize_estimator(estimator) == LOCAL_LINEAR, _sides(hs)
+    width = n * (len(sides[1][0]) + len(sides[2][0])) if sides else n
+    table = (1 + data.dim) ** 2 * len(hs) if sides and linear else 0
+    step = max(1, QUERY_CHUNK_CELLS // max(width, table))
     if sides:  # equal slices: a short last one would be fit in many small calls
         step = -(-q // -(-q // step))
-    stack = max(1, QUERY_CHUNK_CELLS // (min(step, q) * data.n))
+    stack = max(1, QUERY_CHUNK_CELLS // (min(step, q) * n))
     for i in range(0, q, step):
         rows = slice(i, min(i + step, q))
         batch, size = QueryBatch(data, queries[rows]), rows.stop - rows.start
-        rule = _linear_rule(*batch.moments(hs, kernel, sides=sides)[1:]) if sides else None
+        factors = sides and batch.factor_rows(kernel, sides)
+        rule = _linear_rule(*batch.moments(hs, kernel, factors=factors)[1:]) if table else None
         for c in range(0, len(hs), stack):
             cands = slice(c, min(c + stack, len(hs)))
             part = None if rule is None else tuple(x[c * size:cands.stop * size] for x in rule)
-            yield cands, rows, batch.estimates(hs[cands], kernel, estimator, part)
+            own = factors and (factors[0], factors[1][cands], factors[2], factors[3][cands])
+            yield cands, rows, batch.estimates(hs[cands], kernel, estimator, part, own)
 
 
 def fit_queries(data: Dataset, query_angles, h: BandwidthVector, kernel: KernelFamily,

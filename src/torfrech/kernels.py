@@ -5,10 +5,10 @@ similarity gaps (1 - cos r)/h^2 and multiplies across circles. Each family
 is written once, as its penalty -log L(r): r for von Mises, sqrt(r) for
 exponential, and 0 on [0, 1], inf beyond it for uniform; L is exp(-penalty),
 and the product kernel is exp of minus the summed per-circle penalties, so
-gap_weights on some circles gives the per-axis factor rows of moment tables
-(frechet.QueryBatch.moments). The von Mises profile exp(-r) is the default
-throughout because it is strictly positive, so no neighborhood is ever
-empty. kernel_moment is quadrature tooling used by tests only.
+gap_weights on some circles gives per-axis factor rows, whose products are
+a grid's kernel values and moment tables (frechet.QueryBatch.factor_rows).
+The von Mises profile exp(-r), strictly positive so that no neighborhood is
+ever empty, is the default throughout. kernel_moment is quadrature for tests.
 """
 
 from __future__ import annotations

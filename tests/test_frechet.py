@@ -431,12 +431,22 @@ def test_weight_rows_working_set_is_a_few_row_arrays(estimator, bound):
     values, one K theta_a buffer and the weights it returns: under 2.75 such
     arrays (a K theta stack for mu2 reads 5, a copied b'theta 3.1). Local
     constant divides the kernel values in place and returns them: under 2.25
-    (a second weight array read 4.1)."""
+    (a second weight array read 4.1). A tensor grid's call, given its factor
+    rows and (local linear) its rule as fit_chunks gives them, multiplies the
+    kernel values into their own array with no gathered copy of either side
+    (gathering both sides beside it read 3.0 for either estimator)."""
     rng = np.random.default_rng(63)
     data = scalar_dataset(rng, 600, 2)
     batch = QueryBatch(data, rng.uniform(-math.pi, math.pi, size=(20, 2)))
     hs = rng.uniform(0.4, 1.5, size=(6, 2))
     peak, (weights, ok) = _traced_peak(lambda: batch.weight_rows(hs, VM, estimator)[:2])
+    assert ok.all() and weights.shape == (6 * 20, 600)
+    assert peak <= bound * weights.nbytes
+    grid = np.array(list(itertools.product([0.4, 0.9, 1.5], [0.6, 1.2])))
+    factors = batch.factor_rows(VM, frechet._sides(grid))
+    rule = frechet._linear_rule(*batch.moments(grid, VM, factors=factors)[1:])
+    peak, (weights, ok) = _traced_peak(
+        lambda: batch.weight_rows(grid, VM, estimator, rule, factors)[:2])
     assert ok.all() and weights.shape == (6 * 20, 600)
     assert peak <= bound * weights.nbytes
 
@@ -537,22 +547,28 @@ def test_underflowed_kernel_mass_fails_as_before():
 def test_fit_chunks_cover_the_grid_once_in_order_within_the_cap(q, n, c, cap, monkeypatch):
     """Chunks tile the (bandwidth, query) grid query slice by query slice, each
     call within the cap (one row per call when n exceeds it), and each chunk
-    holds the fits of its own rows."""
+    holds the fits of its own rows: for c random bandwidths and for a c x 3
+    tensor grid, whose kernel values come from per-axis factor rows, under
+    both estimators."""
     monkeypatch.setattr(frechet, "QUERY_CHUNK_CELLS", cap)
     rng = np.random.default_rng(62)
     data = scalar_dataset(rng, n, 2)
     queries = rng.uniform(-math.pi, math.pi, size=(q, 2))
-    hs = rng.uniform(0.5, 2.0, size=(c, 2))
-    whole = QueryBatch(data, queries).estimates(hs, VM, LOCAL_LINEAR).values.reshape(c, q)
-    covered, order = np.zeros((c, q), dtype=int), []
-    for cands, rows, fits in fit_chunks(data, queries, hs, VM, LOCAL_LINEAR):
-        size = (cands.stop - cands.start) * (rows.stop - rows.start)
-        assert size * n <= cap if n <= cap else size == 1
-        covered[cands, rows] += 1
-        order.append((rows.start, cands.start))
-        assert np.allclose(fits.values.reshape(-1, rows.stop - rows.start),
-                           whole[cands, rows], rtol=1e-12, atol=1e-12)
-    assert (covered == 1).all() and order == sorted(order)
+    random = rng.uniform(0.5, 2.0, size=(c, 2))
+    tensor = np.array(list(itertools.product(rng.uniform(0.5, 2.0, size=c),
+                                             rng.uniform(0.5, 2.0, size=3))))
+    assert frechet._sides(random) is None and frechet._sides(tensor) is not None
+    for hs, estimator in itertools.product([random, tensor], [LOCAL_LINEAR, LOCAL_CONSTANT]):
+        whole = QueryBatch(data, queries).estimates(hs, VM, estimator).values.reshape(-1, q)
+        covered, order = np.zeros((len(hs), q), dtype=int), []
+        for cands, rows, fits in fit_chunks(data, queries, hs, VM, estimator):
+            size = (cands.stop - cands.start) * (rows.stop - rows.start)
+            assert size * n <= cap if n <= cap else size == 1
+            covered[cands, rows] += 1
+            order.append((rows.start, cands.start))
+            assert np.allclose(fits.values.reshape(-1, rows.stop - rows.start),
+                               whole[cands, rows], rtol=1e-12, atol=1e-12)
+        assert (covered == 1).all() and order == sorted(order)
 
 
 @pytest.mark.parametrize("kernel", list(KernelFamily))
@@ -571,6 +587,88 @@ def test_table_chunks_match_per_call_fits(kernel):
             part = slice(j * (rows.stop - rows.start), (j + 1) * (rows.stop - rows.start))
             assert list(fits.cause[part]) == list(alone.cause)
             assert np.allclose(fits.values[part], alone.values, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("estimator", [LOCAL_CONSTANT, LOCAL_LINEAR])
+def test_a_grid_evaluates_the_kernel_once_per_axis_side(estimator, monkeypatch):
+    """fit_chunks over a 10 x 10 tensor grid evaluates the kernel once per
+    distinct per-axis bandwidth (10 + 10 factor rows) for each query and
+    observation, and multiplies every candidate's kernel values from those
+    rows: at most 20 q n cells in all, where a kernel pass per candidate made
+    100 q n, and no call returns more than QUERY_CHUNK_CELLS cells."""
+    rng = np.random.default_rng(81)
+    data = scalar_dataset(rng, 60, 2)
+    queries = rng.uniform(-math.pi, math.pi, size=(80, 2))
+    hs = np.array(list(itertools.product(np.linspace(0.1, 1.0, 10), repeat=2)))
+    evaluate, cells = frechet.gap_weights, []
+
+    def counted(*args):
+        out = evaluate(*args)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(frechet, "gap_weights", counted)
+    slices = {rows.start for _, rows, _ in fit_chunks(data, queries, hs, VM, estimator)}
+    assert len(slices) > 1  # the factor rows are per query slice
+    assert sum(cells) <= 20 * 80 * 60
+    assert max(cells) <= frechet.QUERY_CHUNK_CELLS
+
+
+def _reference_rule(mu0, mu1, mu2):
+    """(ok, cond, sigma) by LAPACK: eigvalsh for cond, one LU solve for b."""
+    eigs = np.linalg.eigvalsh(mu2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(eigs[:, 0] > 0.0, eigs[:, -1] / eigs[:, 0], np.inf)
+    live = cond <= frechet.CONDITION_LIMIT
+    beta = np.zeros_like(mu1)
+    beta[live] = np.linalg.solve(mu2[live], mu1[live][..., None])[..., 0]
+    sig = mu0 - np.einsum("rd,rd->r", mu1, beta)
+    noise = mu0 + np.linalg.norm(mu1, axis=1) * np.linalg.norm(beta, axis=1)
+    return live & (sig > frechet._SIGMA_GUARD * noise), cond, np.where(live, sig, np.nan)
+
+
+def test_the_2x2_rule_matches_lapack_and_is_backward_stable():
+    """The closed-form d = 2 rule against eigvalsh + solve on 20,000 moment
+    rows: SPD mu2 with cond log-uniform on [1, 1e13] (40 set within 1e-4 of
+    1e12), off-diagonals an ulp apart on every fifth row, zero (underflowed)
+    rows and exactly singular rows. ok matches on every row off the band of
+    cond within 1e-3 relative of 1e12, which holds 42 rows (ok matches on
+    them too with the reference LAPACK); cond and sigma agree to 1e-12
+    relative off it. b's normwise relative residual is at most 1e-15, which
+    Cramer's rule misses: it leaves residuals of eps * cond."""
+    rng = np.random.default_rng(82)
+    rows = 20_000
+    cond = 10.0 ** rng.uniform(0.0, 13.0, rows)
+    cond[3:2000:50] = frechet.CONDITION_LIMIT * (1.0 + rng.uniform(-1e-4, 1e-4, 40))
+    turn, scale = rng.uniform(0.0, np.pi, rows), 10.0 ** rng.uniform(-6.0, 2.0, rows)
+    cos, sin, small = np.cos(turn), np.sin(turn), scale / cond
+    mu2 = np.empty((rows, 2, 2))
+    mu2[:, 0, 0] = cos * cos * scale + sin * sin * small
+    mu2[:, 1, 1] = sin * sin * scale + cos * cos * small
+    mu2[:, 0, 1] = mu2[:, 1, 0] = cos * sin * (scale - small)
+    mu2[::5, 0, 1] = np.nextafter(mu2[::5, 0, 1], np.inf)
+    mu2[1::50] = 0.0
+    mu2[2::50] = scale[2::50, None, None] * np.array([[1.0, 2.0], [2.0, 4.0]])
+    truth = rng.normal(size=(rows, 2))
+    mu1 = np.einsum("rij,rj->ri", mu2, truth)
+    mu0 = np.einsum("rd,rd->r", mu1, truth) + scale * rng.uniform(0.1, 1.0, rows)
+
+    beta, ok, cond, sigma = frechet._linear_rule(mu0, mu1, mu2)
+    ref_ok, ref_cond, ref_sigma = _reference_rule(mu0, mu1, mu2)
+    band = np.abs(ref_cond / frechet.CONDITION_LIMIT - 1.0) <= 1e-3
+    assert band.sum() == 42 and not ok[1::50].any() and not ok[2::50].any()
+    assert np.array_equal(ok[~band], ref_ok[~band])
+    assert np.array_equal(np.isinf(cond), np.isinf(ref_cond))
+    finite = ~band & np.isfinite(ref_cond)
+    assert np.allclose(cond[finite], ref_cond[finite], rtol=1e-12, atol=0.0)
+    assert np.array_equal(np.isnan(sigma), np.isnan(ref_sigma))
+    live = ~band & ~np.isnan(ref_sigma)
+    assert np.allclose(sigma[live], ref_sigma[live], rtol=1e-12, atol=0.0)
+    assert (beta[~np.isfinite(cond)] == 0.0).all()
+    solved = cond <= frechet.CONDITION_LIMIT
+    residual = np.abs(np.einsum("rij,rj->ri", mu2, beta) - mu1).max(axis=1)
+    size = np.abs(mu2).sum(axis=2).max(axis=1) * np.abs(beta).max(axis=1)
+    assert (residual[solved] <= 1e-15 * size[solved]).all()
 
 
 def test_sphere_rows_converge_at_large_n():
