@@ -213,17 +213,17 @@ def _sides(hs: np.ndarray):
 def _linear_rule(mu0, mu1, mu2):
     """(beta, ok, cond, sigma) of the local linear rule on rows of moments: ok
     fails where cond > 1e12 or sigma is under its guard, and singular rows get
-    sigma NaN. d = 2 is closed form, in LAPACK's own steps: the eigenvalues
-    (a + c + hypot(a - c, 2b)) / 2 and det over it as eigvalsh's dlae2 forms them
-    on the lower triangle, and b by the LU solve of other d, elimination with
-    partial pivoting on the full matrix. It is backward stable, so refinement
-    cannot lower its normwise residual, sigma mean(W theta) (Higham 2002, 12.2);
-    Cramer's rule is not (1.10)."""
+    sigma NaN. d = 2 is closed form: the eigenvalues (a + c + hypot(a - c, 2b)) / 2
+    and det over it, in the steps of eigvalsh's dlae2 on the lower triangle so that
+    cond keeps its bits (fmin takes dlae2's rt = 0 where a == c and b == 0), and b
+    by the LU solve of other d, elimination with partial pivoting on the full
+    matrix. It is backward stable, so refinement cannot lower its normwise
+    residual, sigma mean(W theta) (Higham 2002, 12.2); Cramer's rule is not (1.10)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if mu1.shape[1] == 2:
             a, c, off = mu2[:, 0, 0], mu2[:, 1, 1], mu2[:, 1, 0]
             big, small = (f(np.abs(a - c), np.abs(off + off)) for f in (np.maximum, np.minimum))
-            hi = 0.5 * (a + c + big * np.sqrt(1.0 + (small / big) ** 2))
+            hi = 0.5 * (a + c + big * np.sqrt(1.0 + np.fmin(small / big, 1.0) ** 2))
             lo = np.maximum(a, c) / hi * np.minimum(a, c) - off / hi * off  # a, c >= 0
             swap = np.abs(off) > np.abs(a)  # the pivot row (p, q | y) has the larger lead
             p, u, q, v, y, z = (np.where(swap, x[:, 1 - i], x[:, i])
@@ -316,16 +316,14 @@ class QueryBatch:
 
     def moments(self, h, kernel: KernelFamily, kvals=None, factors=None):
         """(kvals, mu0, mu1, mu2) of every row, as sums of left side rows times
-        right side rows, each times 1 or a theta_a. Given `factors`, or where _sides
-        splits the axes, the sides are factor rows and kvals is None: a stack costs
-        U_L * U_R table cells a query, at most prod_a U_a and one a candidate for a
-        tensor grid. Else the left rows are the kernel values (given or computed)."""
+        right side rows, each times 1 or a theta_a. Given `factors` (factor_rows),
+        the sides are factor rows and kvals is None: a stack costs U_L * U_R table
+        cells a query, at most prod_a U_a and one a candidate for a tensor grid.
+        Else the left rows are the kernel values (given or computed)."""
         hs = _bandwidth_stack(h, self.data.dim)
         (q, n, d), c = self.theta.shape, hs.shape[0]
         if kvals is None and factors is None:
-            sides = _sides(hs)
-            factors = sides and self.factor_rows(kernel, sides)
-            kvals = None if factors else gap_weights(kernel, self.gaps, hs).reshape(c * q, n)
+            kvals = gap_weights(kernel, self.gaps, hs).reshape(c * q, n)
         left_rows, iu, right_rows, iv = factors or (
             kvals.reshape(c, q, n), np.arange(c), hs[:1], np.zeros(c, dtype=int))
         (u, v), theta = (len(left_rows), len(right_rows)), self.theta.transpose(2, 0, 1)
@@ -403,12 +401,14 @@ def fit_chunks(data: Dataset, query_angles, h, kernel: KernelFamily, estimator: 
     A stack sharing per-axis factors (_sides) gets its kernel values from one
     kernel pass per axis side and query slice (QueryBatch.factor_rows), and for
     local linear b and sigma from one moment table. A slice's factor rows,
-    (U_L + U_R) x n cells a query, and table, (1 + d)^2 a candidate, fit the cap.
+    (U_L + U_R) x n cells a query, and table, (1 + d)^2 a candidate, fit the cap;
+    a stack whose factor rows for one query would pass it takes the per-call pass.
     """
     queries = np.atleast_2d(np.asarray(query_angles, dtype=float))
     hs, q, n = _bandwidth_stack(h, data.dim), queries.shape[0], data.n
     linear, sides = normalize_estimator(estimator) == LOCAL_LINEAR, _sides(hs)
     width = n * (len(sides[1][0]) + len(sides[2][0])) if sides else n
+    sides, width = (None, n) if width > QUERY_CHUNK_CELLS else (sides, width)
     table = (1 + data.dim) ** 2 * len(hs) if sides and linear else 0
     step = max(1, QUERY_CHUNK_CELLS // max(width, table))
     if sides:  # equal slices: a short last one would be fit in many small calls

@@ -501,9 +501,12 @@ def test_stack_moments_match_compensated_sums(kernel, d):
     queries = rng.uniform(-math.pi, math.pi, size=(4, d))
     batch = QueryBatch(data, queries)
     for name, hs in _bandwidth_stacks(rng, d).items():
-        kvals, mu0, mu1, mu2 = batch.moments(hs, kernel)
         # tensor grids share factor rows from d = 2 on; other stacks use their kernel values
-        assert (kvals is None) == (d > 1 and name != "random"), name
+        sides = frechet._sides(hs)
+        assert (sides is not None) == (d > 1 and name != "random"), name
+        factors = sides and batch.factor_rows(kernel, sides)
+        kvals, mu0, mu1, mu2 = batch.moments(hs, kernel, factors=factors)
+        assert (kvals is None) == (sides is not None), name
         for c, h in enumerate(hs):
             for i in range(len(queries)):
                 k = np.prod(scalar_kernel(kernel, batch.gaps[i] / h ** 2), axis=1)
@@ -595,23 +598,36 @@ def test_a_grid_evaluates_the_kernel_once_per_axis_side(estimator, monkeypatch):
     distinct per-axis bandwidth (10 + 10 factor rows) for each query and
     observation, and multiplies every candidate's kernel values from those
     rows: at most 20 q n cells in all, where a kernel pass per candidate made
-    100 q n, and no call returns more than QUERY_CHUNK_CELLS cells."""
+    100 q n, and no call returns more than QUERY_CHUNK_CELLS cells. Where one
+    query's factor rows, 20 n cells, would pass the cap, the grid takes the
+    per-call pass and no slice holds factor rows."""
     rng = np.random.default_rng(81)
     data = scalar_dataset(rng, 60, 2)
     queries = rng.uniform(-math.pi, math.pi, size=(80, 2))
     hs = np.array(list(itertools.product(np.linspace(0.1, 1.0, 10), repeat=2)))
-    evaluate, cells = frechet.gap_weights, []
+    evaluate, factor_rows, cells, held = frechet.gap_weights, QueryBatch.factor_rows, [], []
 
     def counted(*args):
         out = evaluate(*args)
         cells.append(out.size)
         return out
 
+    def slice_rows(*args):
+        out = factor_rows(*args)
+        held.append(out[0].size + out[2].size)
+        return out
+
     monkeypatch.setattr(frechet, "gap_weights", counted)
+    monkeypatch.setattr(QueryBatch, "factor_rows", slice_rows)
     slices = {rows.start for _, rows, _ in fit_chunks(data, queries, hs, VM, estimator)}
-    assert len(slices) > 1  # the factor rows are per query slice
+    assert len(slices) > 1 and held  # the factor rows are per query slice
     assert sum(cells) <= 20 * 80 * 60
-    assert max(cells) <= frechet.QUERY_CHUNK_CELLS
+    assert max(cells + held) <= frechet.QUERY_CHUNK_CELLS
+    monkeypatch.setattr(frechet, "QUERY_CHUNK_CELLS", 20 * 60 - 1)
+    cells.clear(), held.clear()
+    for _ in fit_chunks(data, queries, hs, VM, estimator):
+        pass
+    assert not held and max(cells) <= frechet.QUERY_CHUNK_CELLS
 
 
 def _reference_rule(mu0, mu1, mu2):
@@ -631,11 +647,12 @@ def test_the_2x2_rule_matches_lapack_and_is_backward_stable():
     """The closed-form d = 2 rule against eigvalsh + solve on 20,000 moment
     rows: SPD mu2 with cond log-uniform on [1, 1e13] (40 set within 1e-4 of
     1e12), off-diagonals an ulp apart on every fifth row, zero (underflowed)
-    rows and exactly singular rows. ok matches on every row off the band of
-    cond within 1e-3 relative of 1e12, which holds 42 rows (ok matches on
-    them too with the reference LAPACK); cond and sigma agree to 1e-12
-    relative off it. b's normwise relative residual is at most 1e-15, which
-    Cramer's rule misses: it leaves residuals of eps * cond."""
+    rows, exactly singular rows, and diagonal rows s I (cond 1, where dlae2
+    takes its a == c, b == 0 branch) and diag(s, t). ok matches on every row
+    off the band of cond within 1e-3 relative of 1e12, which holds 42 rows (ok
+    matches on them too with the reference LAPACK); cond and sigma agree to
+    1e-12 relative off it. b's normwise relative residual is at most 1e-15,
+    which Cramer's rule misses: it leaves residuals of eps * cond."""
     rng = np.random.default_rng(82)
     rows = 20_000
     cond = 10.0 ** rng.uniform(0.0, 13.0, rows)
@@ -649,6 +666,8 @@ def test_the_2x2_rule_matches_lapack_and_is_backward_stable():
     mu2[::5, 0, 1] = np.nextafter(mu2[::5, 0, 1], np.inf)
     mu2[1::50] = 0.0
     mu2[2::50] = scale[2::50, None, None] * np.array([[1.0, 2.0], [2.0, 4.0]])
+    mu2[4::50] = scale[4::50, None, None] * np.eye(2)
+    mu2[6::50] = scale[6::50, None, None] * np.diag([1.0, 3.0])
     truth = rng.normal(size=(rows, 2))
     mu1 = np.einsum("rij,rj->ri", mu2, truth)
     mu0 = np.einsum("rd,rd->r", mu1, truth) + scale * rng.uniform(0.1, 1.0, rows)
@@ -657,6 +676,7 @@ def test_the_2x2_rule_matches_lapack_and_is_backward_stable():
     ref_ok, ref_cond, ref_sigma = _reference_rule(mu0, mu1, mu2)
     band = np.abs(ref_cond / frechet.CONDITION_LIMIT - 1.0) <= 1e-3
     assert band.sum() == 42 and not ok[1::50].any() and not ok[2::50].any()
+    assert (cond[4::50] == 1.0).all() and ok[4::50].all() and ok[6::50].all()
     assert np.array_equal(ok[~band], ref_ok[~band])
     assert np.array_equal(np.isinf(cond), np.isinf(ref_cond))
     finite = ~band & np.isfinite(ref_cond)
@@ -669,6 +689,24 @@ def test_the_2x2_rule_matches_lapack_and_is_backward_stable():
     residual = np.abs(np.einsum("rij,rj->ri", mu2, beta) - mu1).max(axis=1)
     size = np.abs(mu2).sum(axis=2).max(axis=1) * np.abs(beta).max(axis=1)
     assert (residual[solved] <= 1e-15 * size[solved]).all()
+
+
+def test_a_symmetric_design_fits_at_its_centre():
+    """Observations at (+-t, 0) and (0, +-t) about the query make mu2 exactly
+    t-scaled identity under equal bandwidths: a == c bit for bit and b = 0.
+    Its rows have cond 1 and fit, alone and on a tensor grid's factor rows."""
+    t = 0.3
+    angles = np.array([[t, 0.0], [-t, 0.0], [0.0, t], [0.0, -t]])
+    data = Dataset(SCALAR, angles, np.array([1.0, 2.0, 3.0, 4.0]))
+    centre = np.zeros((1, 2))
+    alone = fit_queries(data, centre, BandwidthVector([0.5, 0.5]), VM, LOCAL_LINEAR)
+    assert alone.condition_number[0] == 1.0 and alone.cause[0] == frechet.OK
+    hs = np.array(list(itertools.product([0.5, 0.8, 1.2], repeat=2)))
+    assert frechet._sides(hs) is not None
+    for cands, _, fits in fit_chunks(data, centre, hs, VM, LOCAL_LINEAR):
+        equal = hs[cands, 0] == hs[cands, 1]
+        assert (fits.condition_number[equal] == 1.0).all() and fits.ok.all()
+    assert alone.values[0] == pytest.approx(2.5)
 
 
 def test_sphere_rows_converge_at_large_n():
