@@ -12,7 +12,6 @@ from .errors import (
     PayloadError,
     SingularDesignError,
     TorfrechError,
-    UnsupportedOracleError,
 )
 from .frechet import (
     Dataset,
@@ -21,7 +20,7 @@ from .frechet import (
     local_linear_weights,
     local_moments,
 )
-from .kernels import BandwidthVector, KernelFamily, kernel_moment, scalar_kernel, toroidal_weight
+from .kernels import BandwidthVector, KernelFamily
 from .metric import (
     GraphLaplacianSpace,
     MeanResult,
@@ -29,13 +28,12 @@ from .metric import (
     ScalarSpace,
     SphereSpace,
     WassersteinSpace,
-    frechet_mean_oracle,
     isotonic_projection,
     space_from_json,
     weighted_frechet_mean,
 )
 from .simulate import SimConfig, SimReport, run_study
-from .torus import TangentCoords, TorusPoint, canonicalize, chart, cos_gaps, inverse_chart
+from .torus import TorusPoint, canonicalize
 
 __version__ = "0.1.0"
 
@@ -45,10 +43,8 @@ __all__ = [
     "EmptyNeighborhoodError", "GraphLaplacianSpace", "GridSpec", "KernelFamily",
     "LocalMoments", "MeanResult", "NumericalError", "PayloadError",
     "ResponseSpace", "ScalarSpace", "SimConfig", "SimReport", "SingularDesignError",
-    "SphereSpace", "TangentCoords", "TorfrechError", "TorusPoint",
-    "UnsupportedOracleError", "WassersteinSpace", "canonicalize", "chart", "cos_gaps",
-    "cv_score", "fit_queries", "frechet_mean_oracle", "inverse_chart",
-    "isotonic_projection", "kernel_moment", "kfold_split", "local_linear_weights",
-    "local_moments", "run_study", "scalar_kernel", "space_from_json", "toroidal_weight",
-    "two_stage_search", "weighted_frechet_mean",
+    "SphereSpace", "TorfrechError", "TorusPoint", "WassersteinSpace", "canonicalize",
+    "cv_score", "fit_queries", "isotonic_projection", "kfold_split", "local_linear_weights",
+    "local_moments", "run_study", "space_from_json", "two_stage_search",
+    "weighted_frechet_mean",
 ]

@@ -65,11 +65,6 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.stage1)
 
-    @classmethod
-    def uniform(cls, dim: int, start: float = 0.1, stop: float = 1.0,
-                count: int = 10) -> "GridSpec":
-        return cls(tuple([tuple(np.linspace(start, stop, count))] * dim))
-
     def stage1_candidates(self):
         return [tuple(c) for c in itertools.product(*self.stage1)]
 

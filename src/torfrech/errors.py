@@ -55,6 +55,3 @@ class ConvergenceError(NumericalError):
         self.best_iterate = best_iterate
         self.best_objective = best_objective
 
-
-class UnsupportedOracleError(TorfrechError, ValueError):
-    """The brute-force Fréchet-mean oracle does not cover this space."""

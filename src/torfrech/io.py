@@ -27,7 +27,6 @@ import numpy as np
 from .errors import DatasetFormatError, EmptyDatasetError, TorfrechError
 from .frechet import Dataset
 from .metric import GraphLaplacianSpace, ResponseSpace, space_from_json
-from .torus import TorusPoint
 
 
 def write_json(path, obj) -> None:
@@ -197,11 +196,6 @@ def _time_angles(trips: np.ndarray) -> np.ndarray:
                             2.0 * math.pi * (day - 0.5) / doy_len])
 
 
-def encode_time_to_torus(i1: int, i2: int, doy_len: int) -> TorusPoint:
-    """Map (hour of day, day of year) to the 2-torus at _time_angles, checked as trips are."""
-    return TorusPoint(_time_angles(_checked_trips([(i1, i2, doy_len, 1, 1)], 1))[0])
-
-
 def trips_to_dataset(trips, n_nodes: int, c_w: float | None = None) -> Dataset:
     """Aggregate integer trip rows (hour, day, doy_len, origin, dest), checked as
     read_trips checks them, into one graph Laplacian per (hour, day, doy_len) group.
@@ -209,7 +203,7 @@ def trips_to_dataset(trips, n_nodes: int, c_w: float | None = None) -> Dataset:
     Within a group the undirected edge count sums trips in both directions,
     drops self-loops (a group of self-loops alone is the empty graph) and is
     clipped at c_w; when c_w is None the maximum observed count is used (no
-    clipping). Rows follow the sorted keys (doy_len, day, hour), at encode_time_to_torus's angles.
+    clipping). Rows follow the sorted keys (doy_len, day, hour), at _time_angles.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 regions")

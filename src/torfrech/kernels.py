@@ -1,4 +1,4 @@
-"""Scalar kernel families and the toroidal product kernel.
+"""Kernel profile families and the toroidal product kernel.
 
 The product kernel evaluates a nonincreasing profile L at the per-circle
 similarity gaps (1 - cos r)/h^2 and multiplies across circles. Each family
@@ -8,18 +8,15 @@ and the product kernel is exp of minus the summed per-circle penalties, so
 gap_weights on some circles gives per-axis factor rows, whose products are
 a grid's kernel values and moment tables (frechet.QueryBatch.factor_rows).
 The von Mises profile exp(-r), strictly positive so that no neighborhood is
-ever empty, is the default throughout. kernel_moment is quadrature for tests.
+ever empty, is the default throughout.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .torus import TorusPoint, cos_gaps
 
 
 class KernelFamily(enum.Enum):
@@ -72,26 +69,6 @@ def _penalty(kernel: KernelFamily, r: np.ndarray) -> np.ndarray:
     raise ValueError(f"unhandled kernel family {kernel}")  # pragma: no cover
 
 
-def scalar_kernel(kernel: KernelFamily, r):
-    """Evaluate the kernel profile L at r >= 0 (scalar or array)."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("kernel argument must be nonnegative")
-    out = np.exp(-_penalty(kernel, arr))
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def toroidal_weight(kernel: KernelFamily, x: TorusPoint, z: TorusPoint,
-                    h: BandwidthVector) -> float:
-    """Product over circles of L((1 - z_l' x_l) / h_l^2)."""
-    if x.dim != h.dim:
-        raise ValueError(f"dimension mismatch: point dim {x.dim} vs bandwidth dim {h.dim}")
-    gaps = cos_gaps(x, z)
-    return float(np.prod(scalar_kernel(kernel, gaps / (h.h ** 2))))
-
-
 def gap_weights(kernel: KernelFamily, gaps: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Vectorized toroidal kernel on precomputed per-circle gaps for a stack
     of bandwidth vectors.
@@ -107,64 +84,3 @@ def gap_weights(kernel: KernelFamily, gaps: np.ndarray, hs: np.ndarray) -> np.nd
         term = _penalty(kernel, np.divide(gaps[..., axis], hsq[:, axis]))
         out = term if out is None else np.add(out, term, out=out)
     return np.exp(np.negative(out, out=out), out=out)
-
-
-_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def composite_gauss_nodes(lo: float, hi: float, n_points: int):
-    """Composite 64-node Gauss-Legendre rule on [lo, hi] with >= n_points nodes.
-
-    numpy's leggauss loses accuracy for large single rules, so the interval is
-    split into equal panels of 64 nodes each.
-    """
-    panels = max(1, -(-n_points // 64))
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
-
-
-def _axis_moment(kernel: KernelFamily, h: float, j: int, power: int,
-                 quad_points: int) -> float:
-    """One-dimensional factor: integral of L^power((1-cos u)/h^2) u^j over [-pi, pi).
-
-    For the uniform profile the integrand is an indicator times a polynomial,
-    so the quadrature is restricted to the exact support and Gauss-Legendre
-    integrates it to machine precision.
-    """
-    if kernel is KernelFamily.UNIFORM:
-        hsq = h * h
-        r0 = math.pi if hsq >= 2.0 else math.acos(1.0 - hsq)
-        u, w = composite_gauss_nodes(-r0, r0, quad_points)
-        return float(np.sum(w * u ** j))
-    u, w = composite_gauss_nodes(-math.pi, math.pi, quad_points)
-    vals = scalar_kernel(kernel, (1.0 - np.cos(u)) / (h * h)) ** power
-    return float(np.sum(w * vals * u ** j))
-
-
-def kernel_moment(kernel: KernelFamily, h: BandwidthVector, j, power: int = 1,
-                  quad_points: int = 1024) -> float:
-    """Tensor-product quadrature of the moment integral of the folded kernel.
-
-    Computes the integral over [-pi, pi)^d of the product kernel (raised to
-    `power`) times theta^j. The integrand separates across circles, so the
-    tensor rule reduces to a product of 1-d Gauss-Legendre quadratures with
-    quad_points nodes per axis. By symmetry the value is 0 whenever any j_l
-    is odd.
-    """
-    j_arr = np.atleast_1d(np.asarray(j, dtype=int))
-    if j_arr.size != h.dim:
-        raise ValueError(f"moment multi-index has length {j_arr.size}, expected {h.dim}")
-    if np.any(j_arr < 0):
-        raise ValueError("moment multi-index must be nonnegative")
-    if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
-    if quad_points < 64:
-        raise ValueError("quad_points must be at least 64 per axis")
-    out = 1.0
-    for h_l, j_l in zip(h.h, j_arr):
-        out *= _axis_moment(kernel, float(h_l), int(j_l), power, quad_points)
-    return out

@@ -1,6 +1,6 @@
 """Response spaces: metric + weighted Fréchet mean for four geometries.
 
-A response space bundles a distance, a payload check on stacks of payloads,
+A response space bundles rowwise squared distances, a payload check on stacks,
 a finite diameter bound, and a weighted Fréchet-mean solver. Each space declares
 its JSON descriptor once, as (descriptor key, attribute) pairs in constructor order,
 which `space_from_json` reads; it inherits `to_json` and `payload_to_json`
@@ -25,9 +25,6 @@ positive value:
   exactly by a safeguarded active-set iteration run on all weight rows of a
   batch at once; the edge index is built on first use, so a descriptor alone
   costs no memory quadratic in the node count.
-
-A brute-force grid oracle is provided for small spaces so the solvers can
-be checked against exhaustive minimization.
 """
 
 from __future__ import annotations
@@ -39,12 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateWeightsError,
-    PayloadError,
-    UnsupportedOracleError,
-)
+from .errors import ConvergenceError, DegenerateWeightsError, PayloadError
 
 _SPHERE_START_SAMPLES = 3  # top- and bottom-weighted samples tried as starts
 _SPHERE_CURVATURE_FLOOR = 1e-3  # least |Hessian eigenvalue|, relative to sum |w|
@@ -105,10 +97,6 @@ class ResponseSpace(abc.ABC):
         """Space descriptor as a JSON-compatible dict."""
         return {"kind": self.kind,
                 **{key: getattr(self, attr) for key, attr in self.descriptor}}
-
-    def distance(self, y1, y2) -> float:
-        a, b = (np.asarray(self.validate(y))[None, ...] for y in (y1, y2))
-        return float(np.sqrt(self.pairwise_dist2(a, b)[0]))
 
     def stack(self, payloads) -> np.ndarray:
         """One float conversion and one _check for the whole stack; if that fails, or numpy
@@ -619,59 +607,3 @@ def space_from_json(obj: dict) -> ResponseSpace:
             raise ValueError(f"space descriptor field {name!r} must be a whole number, "
                              f"got {obj[name]!r}")
     return cls(*(obj[name] for name, _ in cls.descriptor))
-
-
-def _sphere_grid(resolution: float) -> np.ndarray:
-    n_colat = int(round(math.pi / resolution)) + 1
-    n_lon = int(round(2.0 * math.pi / resolution))
-    colat = np.linspace(0.0, math.pi, n_colat)
-    lon = -math.pi + np.arange(n_lon) * (2.0 * math.pi / n_lon)
-    ct, ln = np.meshgrid(colat, lon, indexing="ij")
-    pts = np.stack([np.sin(ct) * np.cos(ln), np.sin(ct) * np.sin(ln), np.cos(ct)],
-                   axis=-1).reshape(-1, 3)
-    return pts
-
-
-def frechet_mean_oracle(space: ResponseSpace, points, weights, grid_resolution: float):
-    """Exhaustive grid minimization of the weighted Fréchet objective.
-
-    Supports scalars, the 2-sphere, and graph Laplacians on at most 3 nodes;
-    intended as a test oracle, not for production use.
-    """
-    stacked = space.stack(points)
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.shape[0] != stacked.shape[0]:
-        raise ValueError(f"{stacked.shape[0]} points but {w.shape[0]} weights")
-    if not w.sum() > 0.0:
-        raise DegenerateWeightsError("weights must sum to a positive value")
-    if isinstance(space, ScalarSpace):
-        grid = np.arange(space.lo, space.hi + grid_resolution * 0.5, grid_resolution)
-        obj = ((grid[:, None] - stacked[None, :]) ** 2) @ w
-        return float(grid[int(np.argmin(obj))])
-    if isinstance(space, SphereSpace) and space.p == 2:
-        grid = _sphere_grid(grid_resolution)
-        d2 = np.arccos(np.clip(grid @ stacked.T, -1.0, 1.0)) ** 2
-        best = grid[int(np.argmin(d2 @ w))]
-        return best / np.linalg.norm(best)
-    if isinstance(space, GraphLaplacianSpace) and space.n_nodes <= 3:
-        axis = np.arange(0.0, space.c_w + grid_resolution * 0.5, grid_resolution)
-        n_edges = space.n_nodes * (space.n_nodes - 1) // 2
-        mesh = np.meshgrid(*([axis] * n_edges), indexing="ij")
-        combos = np.stack([m.ravel() for m in mesh], axis=-1)
-        # sum_s w_s ||L - Y_s||^2 = total*||L||^2 - 2<L, sum_s w_s Y_s> + const
-        total = float(w.sum())
-        weighted_sum = np.tensordot(w, stacked, axes=1)
-        best_obj = math.inf
-        best_edges = None
-        for chunk in np.array_split(combos, max(1, combos.shape[0] // 100_000)):
-            laps = space.edge_weights_to_laplacian(chunk)
-            objs = total * np.einsum("mij,mij->m", laps, laps)
-            objs -= 2.0 * np.einsum("mij,ij->m", laps, weighted_sum)
-            pos = int(np.argmin(objs))
-            if objs[pos] < best_obj:
-                best_obj = float(objs[pos])
-                best_edges = chunk[pos]
-        return space.edge_weights_to_laplacian(best_edges)
-    raise UnsupportedOracleError(
-        f"oracle supports scalar, sphere p=2, and graph Laplacians with k<=3; "
-        f"got {space.kind}")

@@ -27,23 +27,22 @@ def resolve_threads(threads=None) -> int:
     return threads
 
 
+def _pool_map(executor, fn, items, threads):
+    items = list(items)
+    workers = resolve_threads(threads)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with executor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def thread_map(fn, items, threads=None):
     """Order-preserving map over a thread pool. On 2 vCPUs two workers ran the cv
     folds 1.14x as fast as one on perfbench's cv_sphere, 1.12x on cv_quantile and
     1.11x on cv_network (ROADMAP, Baseline)."""
-    items = list(items)
-    workers = resolve_threads(threads)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return _pool_map(ThreadPoolExecutor, fn, items, threads)
 
 
 def process_map(fn, items, threads=None):
     """Order-preserving map over a process pool (fn must be picklable)."""
-    items = list(items)
-    workers = resolve_threads(threads)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return _pool_map(ProcessPoolExecutor, fn, items, threads)

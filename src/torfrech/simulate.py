@@ -37,7 +37,8 @@ class SimConfig:
     sigma: float
     reps: int
     seed: int
-    grid: GridSpec = field(default_factory=lambda: GridSpec.uniform(2))
+    grid: GridSpec = field(
+        default_factory=lambda: GridSpec((tuple(np.linspace(0.1, 1.0, 10)),) * 2))
     quad_per_axis: int = 50
     estimators: tuple = ("lc", "ll")
     kernel: KernelFamily = KernelFamily.VON_MISES

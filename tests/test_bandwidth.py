@@ -48,7 +48,7 @@ def test_grid_spec_validation():
         GridSpec(((0.0, 0.1),))
     with pytest.raises(ValueError):
         GridSpec(((0.1,),), stage2_fraction=0.0)
-    grid = GridSpec.uniform(2, 0.1, 1.0, 10)
+    grid = GridSpec((tuple(np.linspace(0.1, 1.0, 10)),) * 2)
     assert grid.dim == 2
     assert len(grid.stage1_candidates()) == 100
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import frechet_mean_oracle, scalar_kernel
 from torfrech import frechet
 from torfrech.errors import (
     ConvergenceError,
@@ -27,13 +28,12 @@ from torfrech.frechet import (
     local_moments,
     normalize_estimator,
 )
-from torfrech.kernels import BandwidthVector, KernelFamily, scalar_kernel
+from torfrech.kernels import BandwidthVector, KernelFamily
 from torfrech.metric import (
     GraphLaplacianSpace,
     ScalarSpace,
     SphereSpace,
     WassersteinSpace,
-    frechet_mean_oracle,
     isotonic_projection,
 )
 from torfrech.simulate import quadrature_grid

@@ -9,7 +9,6 @@ from torfrech import io
 from torfrech.errors import DatasetFormatError, EmptyDatasetError, PayloadError
 from torfrech.frechet import Dataset
 from torfrech.io import (
-    encode_time_to_torus,
     load_dataset,
     read_trips,
     save_dataset,
@@ -22,6 +21,7 @@ from torfrech.metric import (
     SphereSpace,
     WassersteinSpace,
 )
+from torfrech.torus import canonicalize
 
 
 def make_dataset(space, payloads, rng):
@@ -178,38 +178,35 @@ def test_load_dataset_empty_and_header_errors(tmp_path):
         load_dataset(path, space=ScalarSpace(0, 1))
 
 
-def test_encode_time_examples():
-    p = encode_time_to_torus(0, 100, 365)
-    assert p.angles[0] == pytest.approx(math.pi / 24)
-    assert math.cos(p.angles[0]) == pytest.approx(0.991445, abs=1e-6)
-    assert encode_time_to_torus(5, 1, 365).angles[1] == pytest.approx(math.pi / 365)
+def trip_time(hour, day, doy_len):
+    """The canonical torus angles of one trip's time, from the definition."""
+    return canonicalize([2.0 * math.pi * (hour + 0.5) / 24.0,
+                         2.0 * math.pi * (day - 0.5) / doy_len])
+
+
+def test_trip_time_examples():
+    angles = trips_to_dataset([(0, 100, 365, 1, 2), (5, 1, 365, 1, 2), (12, 1, 365, 1, 2)],
+                              2).angles  # sorted (doy_len, day, hour)
+    assert angles[2, 0] == pytest.approx(math.pi / 24)
+    assert math.cos(angles[2, 0]) == pytest.approx(0.991445, abs=1e-6)
+    assert angles[0, 1] == pytest.approx(math.pi / 365)
     # hour 12 wraps past pi into the canonical interval
-    q = encode_time_to_torus(12, 1, 365)
-    assert -math.pi <= q.angles[0] < math.pi
-    assert q.angles[0] == pytest.approx(2 * math.pi * 12.5 / 24 - 2 * math.pi)
+    assert -math.pi <= angles[1, 0] < math.pi
+    assert angles[1, 0] == pytest.approx(2 * math.pi * 12.5 / 24 - 2 * math.pi)
 
 
-def test_encode_time_validation():
-    with pytest.raises(ValueError):
-        encode_time_to_torus(24, 1, 365)
-    with pytest.raises(ValueError):
-        encode_time_to_torus(0, 0, 365)
-    with pytest.raises(ValueError):
-        encode_time_to_torus(0, 366, 365)
-    with pytest.raises(ValueError):
-        encode_time_to_torus(0, 1, 364)
+def test_trip_time_validation():
+    for hour, day, doy_len in ((24, 1, 365), (0, 0, 365), (0, 366, 365), (0, 1, 364)):
+        with pytest.raises(ValueError):
+            trips_to_dataset([(hour, day, doy_len, 1, 2)], 2)
 
 
-def test_encode_time_injective():
-    seen = set()
+def test_trip_time_injective():
     for doy_len in (365, 366):
-        seen.clear()
-        for i1 in range(24):
-            for i2 in range(1, doy_len + 1):
-                p = encode_time_to_torus(i1, i2, doy_len)
-                key = (round(p.angles[0], 12), round(p.angles[1], 12))
-                assert key not in seen
-                seen.add(key)
+        trips = [(i1, i2, doy_len, 1, 2) for i1 in range(24) for i2 in range(1, doy_len + 1)]
+        angles = trips_to_dataset(trips, 2).angles
+        assert len(angles) == len(trips)
+        assert len({(round(a, 12), round(b, 12)) for a, b in angles.tolist()}) == len(trips)
 
 
 def test_trips_to_dataset_examples():
@@ -218,8 +215,7 @@ def test_trips_to_dataset_examples():
     assert data.n == 1
     assert np.array_equal(data.responses[0], [[3.0, -3.0], [-3.0, 3.0]])
     assert data.space.c_w == 3.0
-    expected = encode_time_to_torus(3, 10, 365)
-    assert np.allclose(data.angles[0], expected.angles)
+    assert np.allclose(data.angles[0], trip_time(3, 10, 365))
 
 
 def test_trips_to_dataset_self_loops_dropped():
@@ -262,7 +258,7 @@ def test_trips_to_dataset_matches_per_trip_reference(c_w):
         a = counts[doy_len, day, hour]
         w = np.minimum(a + a.T, cap)
         assert np.array_equal(data.responses[i], np.diag(w.sum(axis=1)) - w)
-        assert np.array_equal(data.angles[i], encode_time_to_torus(hour, day, doy_len).angles)
+        assert np.array_equal(data.angles[i], trip_time(hour, day, doy_len))
 
 
 def test_trips_to_dataset_outputs_validate():
@@ -303,11 +299,11 @@ def test_a_library_trip_value_that_is_not_whole_is_refused(bad, shown):
     assert str(err.value) == f"trip values must be whole numbers, got {shown}"
 
 
-def test_encode_time_refuses_a_value_that_is_not_whole():
+def test_a_trip_time_that_is_not_whole_is_refused():
     for args, shown in (((3.7, 10, 365), "3.7"), ((True, 10, 365), "True"),
                         ((3, 10, 365.5), "365.5")):
         with pytest.raises(ValueError) as err:
-            encode_time_to_torus(*args)
+            trips_to_dataset([(*args, 1, 2)], 2)
         assert str(err.value) == f"trip values must be whole numbers, got {shown}"
 
 

@@ -107,6 +107,7 @@ def test_integrated_squared_error_cases():
 def test_sim_config_validation():
     good = SimConfig(n=50, sigma=0.1, reps=2, seed=1)
     assert good.estimators == ("lc", "ll")
+    assert good.grid.stage1 == (tuple(np.linspace(0.1, 1.0, 10)),) * 2
     with pytest.raises(ValueError):
         SimConfig(n=5, sigma=0.1, reps=1, seed=0)
     with pytest.raises(ValueError):
