@@ -83,6 +83,14 @@ def test_dataset_validation():
     assert data.n == 1 and data.dim == 2
 
 
+
+def test_query_batch_rejects_a_query_of_wrong_dimension():
+    data = scalar_dataset(np.random.default_rng(5), 6, 2)
+    for bad in ([0.1], [0.1, 0.2, 0.3], np.zeros((4, 3))):
+        with pytest.raises(ValueError, match="query dimension .* != data dimension 2"):
+            QueryBatch(data, bad)
+    assert QueryBatch(data, [0.1, 0.2]).theta.shape == (1, 6, 2)
+
 def test_local_moments_single_centered_point():
     data = Dataset(SCALAR, np.array([[0.3, -0.7]]), np.array([2.0]))
     m = local_moments(data, TorusPoint([0.3, -0.7]), BandwidthVector([0.5, 0.5]), VM)

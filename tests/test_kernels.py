@@ -73,6 +73,31 @@ def test_gap_weights_match_toroidal_weight(fam, d):
         np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)
 
 
+
+# README's table of removed names replaces the scalar kernel helpers with
+# gap_weights calls; each must agree with the reference it replaces.
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+def test_scalar_kernel_replacement_matches_reference(fam):
+    r = np.concatenate([np.linspace(0.0, 4.0, 81), [1.0 - 1e-12, 1.0 + 1e-12, 50.0]])
+    replaced = gap_weights(fam, r[:, None], np.ones((1, 1)))[0]
+    assert replaced.shape == r.shape
+    np.testing.assert_allclose(replaced, scalar_kernel(fam, r), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+def test_toroidal_weight_replacement_matches_reference(fam):
+    rng = np.random.default_rng(61)
+    for d in (1, 2, 3):
+        for _ in range(40):
+            x, z = rng.uniform(-math.pi, math.pi, size=(2, d))
+            h = BandwidthVector(rng.uniform(0.2, 1.5, size=d))
+            gaps = 1.0 - np.cos(z - x)
+            replaced = gap_weights(fam, gaps[None], h.h[None])[0, 0]
+            assert replaced == pytest.approx(toroidal_weight(fam, x, z, h.h),
+                                             rel=1e-13, abs=0.0)
+
 def test_toroidal_weight_symmetry_exact():
     rng = np.random.default_rng(11)
     h = [0.4, 0.9]

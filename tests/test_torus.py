@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from reference import chart, cos_gaps, inverse_chart
+from torfrech.frechet import Dataset, QueryBatch
+from torfrech.metric import ScalarSpace
 from torfrech.torus import TorusPoint, canonicalize
+
+
+def _observations(rng, n, d):
+    angles = rng.uniform(-math.pi, math.pi, size=(n, d))
+    return Dataset(ScalarSpace(-1.0, 1.0), angles, np.zeros(n))
 
 
 def test_canonicalize_values():
@@ -113,3 +120,56 @@ def test_cos_gaps_values_and_identity():
         gaps = cos_gaps(a, b)
         assert np.all((gaps >= 0.0) & (gaps <= 2.0))
         assert np.allclose(gaps, 1.0 - np.cos(inverse_chart(a, b)), atol=1e-12)
+
+
+# README's table of removed names gives a replacement for each chart helper;
+# each must agree with the reference it replaces.
+
+
+def test_chart_replacement_matches_reference():
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 3):
+        for _ in range(100):
+            x = TorusPoint(rng.uniform(-math.pi, math.pi, size=d))
+            t = rng.uniform(-math.pi, math.pi, size=d)
+            replaced = canonicalize(x.angles + t)
+            assert np.all((replaced >= -math.pi) & (replaced < math.pi))
+            assert np.allclose(replaced, chart(x.angles, t), rtol=0.0, atol=1e-15)
+
+
+def test_inverse_chart_replacements_match_reference():
+    rng = np.random.default_rng(22)
+    for d in (1, 2, 3):
+        data = _observations(rng, 30, d)
+        x = TorusPoint(rng.uniform(-math.pi, math.pi, size=d))
+        batch = QueryBatch(data, x.angles)
+        for i, z in enumerate(data.angles):
+            ref = inverse_chart(x.angles, z)
+            assert np.allclose(canonicalize(z - x.angles), ref, rtol=0.0, atol=1e-14)
+            assert np.allclose(batch.theta[0, i], ref, rtol=0.0, atol=1e-14)
+
+
+def test_cos_gaps_replacements_match_reference():
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3):
+        data = _observations(rng, 30, d)
+        x = TorusPoint(rng.uniform(-math.pi, math.pi, size=d))
+        batch = QueryBatch(data, x.angles)
+        for i, z in enumerate(data.angles):
+            ref = cos_gaps(x.angles, z)
+            assert np.allclose(1.0 - np.cos(z - x.angles), ref, rtol=0.0, atol=1e-14)
+            assert np.allclose(batch.gaps[0, i], ref, rtol=0.0, atol=1e-14)
+
+
+def test_embed_replacement_values():
+    def embed(x):
+        return np.column_stack([np.cos(x.angles), np.sin(x.angles)]).ravel()
+
+    assert np.allclose(embed(TorusPoint([0.0])), [1.0, 0.0])
+    assert np.allclose(embed(TorusPoint([math.pi / 2])), [0.0, 1.0], atol=1e-15)
+    assert np.allclose(embed(TorusPoint([0.0, -math.pi])), [1.0, 0.0, -1.0, 0.0],
+                       atol=1e-15)
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        e = embed(TorusPoint(rng.uniform(-math.pi, math.pi, size=3))).reshape(3, 2)
+        assert np.allclose(np.linalg.norm(e, axis=1), 1.0, atol=1e-12)
